@@ -74,7 +74,6 @@ from .linalg import (
     SpectrumClass,
     biorthonormalize,
     eigendecompose,
-    hermitian_positive_sqrt,
     matrix_exp,
 )
 from .metric import (
@@ -91,82 +90,3 @@ from .metric import (
     verify_rho_unitarity,
 )
 
-__all__ = [
-    "__version__",
-    # linalg
-    "BiorthonormalSystem",
-    "SpectralData",
-    "SpectrumClass",
-    "biorthonormalize",
-    "eigendecompose",
-    "hermitian_positive_sqrt",
-    "matrix_exp",
-    "IDENTITY2",
-    "PAULI",
-    "SIGMA1",
-    "SIGMA2",
-    "SIGMA3",
-    # metric
-    "InnerProductKind",
-    "MetricOperator",
-    "build_charge_conjugation",
-    "build_eta_plus",
-    "build_generalized_parity",
-    "hermitize",
-    "inner_product",
-    "map_observable",
-    "metric_from_hamiltonian",
-    "verify_pseudo_hermiticity",
-    "verify_rho_unitarity",
-    # antilinear
-    "AntilinearOperator",
-    "ExactnessReport",
-    "InvolutionCheck",
-    "TimeReversalParams",
-    "apply_antilinear",
-    "check_exactness",
-    "check_pt_symmetry",
-    "is_hermitian_antilinear_involution",
-    "make_time_reversal",
-    "unitary_sqrt_of_tau",
-    # families
-    "GeneralFamilyParams",
-    "GeneralTSystem",
-    "HermitizeEquivalence",
-    "SymmetricFamilyParams",
-    "SymmetricReduction",
-    "TwoLevelOperators",
-    "general_hamiltonian",
-    "general_t_hamiltonian",
-    "hermitize_equivalence",
-    "parity_from_angle",
-    "pauli_rotation",
-    "reduce_general_to_symmetric",
-    "symmetric_eigensystem",
-    "symmetric_hamiltonian",
-    "symmetric_operators",
-    # evolution
-    "EvolutionSpec",
-    "NormTrajectory",
-    "evolve",
-    "fit_growth_rate",
-    "norm_trajectory",
-    # errors
-    "PHTError",
-    "BrokenSymmetryParamsError",
-    "ComplexSpectrumError",
-    "DegenerateDirectionError",
-    "DimensionMismatchError",
-    "ExceptionalPointError",
-    "InvalidAxisError",
-    "NonFiniteError",
-    "NoPositiveMetricError",
-    "NotDiagonalizableError",
-    "NotHermitianError",
-    "NotPositiveDefiniteError",
-    "NotPseudoHermitianError",
-    "NotPTSymmetricError",
-    "OutOfRangeError",
-    "SingularParityError",
-    "SingularWeightError",
-]

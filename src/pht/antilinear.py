@@ -15,17 +15,17 @@ import scipy.linalg
 
 from .errors import DimensionMismatchError, NotPTSymmetricError, SingularParityError
 from .linalg import (
-    DEGENERATE_GAP_RTOL,
     REALITY_RTOL,
     SIGMA1,
     SIGMA3,
     SpectrumClass,
+    _degenerate_clusters,
+    _require_nonsingular,
     as_square_matrix,
     as_state_vector,
     eigendecompose,
     matrix_exp,
 )
-from .metric import WEIGHT_RCOND_LIMIT
 
 # Residual bound for the symmetric/unitary tests of an involution.
 INVOLUTION_ATOL = 1e-10
@@ -50,11 +50,6 @@ class AntilinearOperator:
 
     def __call__(self, state) -> np.ndarray:
         return apply_antilinear(self, state)
-
-    def compose_linear(self, operator) -> "AntilinearOperator":
-        """Antilinear composition ``A . T`` for linear ``A``: linear part ``A tau``."""
-        a = as_square_matrix(operator)
-        return AntilinearOperator(a @ self.tau)
 
     def compose_antilinear(self, other: "AntilinearOperator") -> np.ndarray:
         """Linear composition ``T1 . T2``: conjugations cancel to ``tau1 conj(tau2)``."""
@@ -158,9 +153,7 @@ def check_pt_symmetry(hamiltonian, parity, time_reversal: AntilinearOperator) ->
     p = as_square_matrix(parity)
     if h.shape != p.shape or p.shape[0] != time_reversal.dim:
         raise DimensionMismatchError("hamiltonian, parity and time reversal dims must agree")
-    sv = np.linalg.svd(p, compute_uv=False)
-    if sv[-1] <= WEIGHT_RCOND_LIMIT * sv[0]:
-        raise SingularParityError("parity operator is numerically singular")
+    _require_nonsingular(p, SingularParityError, "parity operator")
     hnorm = float(np.linalg.norm(h))
     if hnorm == 0.0:
         return 0.0
@@ -181,6 +174,15 @@ class ExactnessReport:
     exact: bool
     fixed_eigenvectors: np.ndarray | None
     failure_reason: str | None
+
+
+def _exactness_failure(classification: SpectrumClass) -> str | None:
+    """``failure_reason`` of a PT-symmetric ``H`` with this spectrum; None when exact."""
+    if classification is SpectrumClass.REAL_DIAGONALIZABLE:
+        return None
+    if classification is SpectrumClass.NEAR_DEFECTIVE:
+        return "not_diagonalizable"
+    return "complex_eigenvalues"
 
 
 def _pt_fix_cluster(columns: np.ndarray, pt_linear: np.ndarray) -> np.ndarray:
@@ -235,27 +237,19 @@ def check_exactness(
         raise NotPTSymmetricError(f"PT commutator residual {residual:.3e} exceeds {pt_tol:.1e}")
 
     spectral = eigendecompose(h, reality_rtol)
-    if spectral.classification is SpectrumClass.NEAR_DEFECTIVE:
-        return ExactnessReport(False, None, "not_diagonalizable")
-    if spectral.classification is SpectrumClass.CONJUGATE_PAIRS:
-        return ExactnessReport(False, None, "complex_eigenvalues")
+    failure = _exactness_failure(spectral.classification)
+    if failure is not None:
+        return ExactnessReport(False, None, failure)
 
     pt_linear = as_square_matrix(parity) @ time_reversal.tau
-    w = spectral.eigenvalues.real
     v = spectral.eigenvectors
-    gap = DEGENERATE_GAP_RTOL * max(float(np.linalg.norm(h)), 1e-300)
     fixed = np.empty_like(v)
-    k = 0
-    while k < len(w):
-        j = k + 1
-        while j < len(w) and abs(w[j] - w[j - 1]) < gap:
-            j += 1
-        if j - k == 1:
-            psi = v[:, k]
+    for cluster in _degenerate_clusters(spectral.eigenvalues.real, float(np.linalg.norm(h))):
+        if len(cluster) == 1:
+            psi = v[:, cluster[0]]
             chi = pt_linear @ np.conj(psi)
             factor = np.vdot(psi, chi) / np.vdot(psi, psi)
-            fixed[:, k] = np.exp(0.5j * np.angle(factor)) * psi
+            fixed[:, cluster[0]] = np.exp(0.5j * np.angle(factor)) * psi
         else:
-            fixed[:, k:j] = _pt_fix_cluster(v[:, k:j], pt_linear)
-        k = j
+            fixed[:, cluster] = _pt_fix_cluster(v[:, cluster], pt_linear)
     return ExactnessReport(True, fixed, None)

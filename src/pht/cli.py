@@ -3,8 +3,8 @@
 Matrices travel as JSON documents ``{"dim": D, "entries": [[[re, im], ...], ...]}``
 and state vectors as ``{"dim": D, "entries": [[re, im], ...]}``.  Reports are
 JSON on stdout (floats at full double precision, 17 significant digits);
-``evolve`` emits CSV.  Exit codes: 0 success, 2 malformed input, 3 symmetry or
-metric failure.
+``evolve`` emits CSV.  Exit codes: 0 success, 2 malformed input (non-finite
+flags included), 3 any other failure raised by the package.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -20,31 +21,26 @@ from .antilinear import (
     PT_RESIDUAL_TOL,
     AntilinearOperator,
     TimeReversalParams,
+    _exactness_failure,
     check_exactness,
     check_pt_symmetry,
     unitary_sqrt_of_tau,
 )
 from .errors import (
-    BrokenSymmetryParamsError,
     ComplexSpectrumError,
-    DegenerateDirectionError,
     DimensionMismatchError,
-    ExceptionalPointError,
     NoPositiveMetricError,
     NonFiniteError,
     NotDiagonalizableError,
     NotPositiveDefiniteError,
-    NotPseudoHermitianError,
-    NotPTSymmetricError,
-    SingularParityError,
-    SingularWeightError,
+    PHTError,
 )
 from .evolution import EvolutionSpec, norm_trajectory
 from .families import (
     GeneralFamilyParams,
     SymmetricFamilyParams,
+    _general_t_system,
     general_hamiltonian,
-    parity_from_angle,
     reduce_general_to_symmetric,
     symmetric_hamiltonian,
     symmetric_operators,
@@ -69,22 +65,6 @@ RTOL_ENV_VAR = "PHT_RTOL"
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SYMMETRY = 3
-
-# Failures of the mathematical preconditions (broken symmetry, singular or
-# indefinite operators) map to exit code 3; malformed documents map to 2.
-_SYMMETRY_ERRORS = (
-    BrokenSymmetryParamsError,
-    ComplexSpectrumError,
-    DegenerateDirectionError,
-    ExceptionalPointError,
-    NoPositiveMetricError,
-    NotDiagonalizableError,
-    NotPositiveDefiniteError,
-    NotPseudoHermitianError,
-    NotPTSymmetricError,
-    SingularParityError,
-    SingularWeightError,
-)
 
 
 class CliInputError(Exception):
@@ -138,6 +118,8 @@ def parse_state_document(obj) -> np.ndarray:
 
 def matrix_document(matrix: np.ndarray) -> dict:
     m = np.asarray(matrix, dtype=complex)
+    if not np.isfinite(m).all():
+        raise CliInputError("result is not finite: the input overflows double precision")
     return {
         "dim": m.shape[0],
         "entries": [[[z.real, z.imag] for z in row] for row in m],
@@ -147,6 +129,14 @@ def matrix_document(matrix: np.ndarray) -> dict:
 def state_document(state: np.ndarray) -> dict:
     v = np.asarray(state, dtype=complex)
     return {"dim": v.shape[0], "entries": [[z.real, z.imag] for z in v]}
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: NaN and infinities are malformed input."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _load_document(path: str):
@@ -179,10 +169,6 @@ def _reality_rtol(args) -> float:
     return REALITY_RTOL
 
 
-def _residual_atol(args) -> float:
-    return args.atol if args.atol is not None else PT_RESIDUAL_TOL
-
-
 def _canonical_system(matrix: np.ndarray, reality_rtol: float):
     """Biorthonormalize with the transpose convention when it applies.
 
@@ -203,30 +189,20 @@ def _canonical_system(matrix: np.ndarray, reality_rtol: float):
 def _pt_operators(args, dim: int):
     parity = _load_matrix(args.parity) if args.parity else np.eye(dim, dtype=complex)
     tau = _load_matrix(args.tau) if args.tau else np.eye(dim, dtype=complex)
-    if parity.shape[0] != dim or tau.shape[0] != dim:
-        raise CliInputError("parity/tau dimension does not match the Hamiltonian")
     return parity, AntilinearOperator(tau)
 
 
 def cmd_analyze(args) -> int:
     h = _load_matrix(args.input)
-    rtol = _reality_rtol(args)
-    atol = _residual_atol(args)
-    spectral = eigendecompose(h, reality_rtol=rtol)
+    spectral = eigendecompose(h, reality_rtol=_reality_rtol(args))
     parity, time_reversal = _pt_operators(args, h.shape[0])
     pt_residual = check_pt_symmetry(h, parity, time_reversal)
-    pt_symmetric = pt_residual <= atol
-
-    exact = False
-    failure_reason = None
-    if not pt_symmetric:
-        failure_reason = "not_pt_symmetric"
-    elif spectral.classification is SpectrumClass.REAL_DIAGONALIZABLE:
-        exact = True
-    elif spectral.classification is SpectrumClass.NEAR_DEFECTIVE:
-        failure_reason = "not_diagonalizable"
+    pt_symmetric = pt_residual <= args.atol
+    if pt_symmetric:
+        failure_reason = _exactness_failure(spectral.classification)
     else:
-        failure_reason = "complex_eigenvalues"
+        failure_reason = "not_pt_symmetric"
+    exact = failure_reason is None
 
     report = {
         "dim": h.shape[0],
@@ -269,57 +245,37 @@ def cmd_hermitize(args) -> int:
     return EXIT_OK
 
 
-def _family_bundle_symmetric(params: SymmetricFamilyParams) -> dict:
-    ops = symmetric_operators(params)
-    return {
-        "eta_plus": matrix_document(ops.eta_plus),
-        "parity": matrix_document(ops.parity),
-        "charge": matrix_document(ops.charge),
-        "rho_plus": matrix_document(ops.rho_plus),
-        "hermitian_h": matrix_document(ops.hermitian_h),
-    }
-
-
-def _conjugated_bundle(bundle: dict, u: np.ndarray) -> dict:
-    u_inv = u.conj().T
-    out = {}
-    for key, doc in bundle.items():
-        m = parse_matrix_document(doc)
-        out[key] = matrix_document(u @ m @ u_inv)
-    return out
-
-
 def cmd_family(args) -> int:
-    report: dict = {"kind": args.kind}
     if args.kind == "symmetric":
         params = SymmetricFamilyParams(args.r, args.s, args.t, args.phi)
-        report["broken"] = not params.is_exact
-        report["hamiltonian"] = matrix_document(symmetric_hamiltonian(params))
-        if params.is_exact:
-            report.update(_family_bundle_symmetric(params))
+        matrices = {"hamiltonian": symmetric_hamiltonian(params)}
     else:
         params = GeneralFamilyParams(args.r, args.s, args.t, args.u, args.phi)
-        report["broken"] = not params.is_exact
-        h = general_hamiltonian(params)
-        bundle = None
-        if params.is_exact:
+        matrices = {"hamiltonian": general_hamiltonian(params)}
+    # Unitaries carrying the closed-form symmetric-family bundle into the requested frame.
+    frames: tuple = ()
+    extra = {}
+    if args.kind == "general-t":
+        u_mat = unitary_sqrt_of_tau(TimeReversalParams(args.gamma, args.xi, args.zeta))
+        system = _general_t_system(params, u_mat)
+        matrices["hamiltonian"] = system.hamiltonian
+        frames = (u_mat,)
+        extra = {"u": u_mat, "tau": system.time_reversal.tau, "pt_parity": system.parity}
+
+    if params.is_exact:
+        symmetric = params
+        if args.kind != "symmetric":
             reduction = reduce_general_to_symmetric(params)
-            bundle = _conjugated_bundle(_family_bundle_symmetric(reduction.params), reduction.u1)
-        if args.kind == "general":
-            report["hamiltonian"] = matrix_document(h)
-            if bundle:
-                report.update(bundle)
-        else:
-            tparams = TimeReversalParams(args.gamma, args.xi, args.zeta)
-            u_mat = unitary_sqrt_of_tau(tparams)
-            report["hamiltonian"] = matrix_document(u_mat @ h @ u_mat.conj().T)
-            if bundle:
-                report.update(_conjugated_bundle(bundle, u_mat))
-            report["u"] = matrix_document(u_mat)
-            report["tau"] = matrix_document(u_mat @ u_mat)
-            report["pt_parity"] = matrix_document(
-                u_mat @ parity_from_angle(params.phi) @ u_mat.conj().T
-            )
+            symmetric, frames = reduction.params, (reduction.u1, *frames)
+        ops = symmetric_operators(symmetric)
+        for field in fields(ops):
+            m = getattr(ops, field.name)
+            for u in frames:
+                m = u @ m @ u.conj().T
+            matrices[field.name] = m
+    matrices.update(extra)
+    report = {"kind": args.kind, "broken": not params.is_exact}
+    report.update((key, matrix_document(m)) for key, m in matrices.items())
 
     if report["broken"] and not args.allow_broken:
         sys.stderr.write(
@@ -360,19 +316,18 @@ def cmd_evolve(args) -> int:
 
 def cmd_check_pt(args) -> int:
     h = _load_matrix(args.input)
-    atol = _residual_atol(args)
     parity, time_reversal = _pt_operators(args, h.shape[0])
     residual = check_pt_symmetry(h, parity, time_reversal)
     report = {
         "dim": h.shape[0],
         "pt_residual": residual,
-        "pt_symmetric": residual <= atol,
+        "pt_symmetric": residual <= args.atol,
         "exact": None,
         "failure_reason": None,
     }
     if report["pt_symmetric"]:
         exactness = check_exactness(
-            h, parity, time_reversal, pt_tol=atol, reality_rtol=_reality_rtol(args)
+            h, parity, time_reversal, pt_tol=args.atol, reality_rtol=_reality_rtol(args)
         )
         report["exact"] = exactness.exact
         report["failure_reason"] = exactness.failure_reason
@@ -392,15 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument(
         "--rtol",
-        type=float,
+        type=_finite_float,
         default=None,
         help=f"reality tolerance for spectrum classification "
         f"(default: ${RTOL_ENV_VAR} or {REALITY_RTOL})",
     )
     tol.add_argument(
         "--atol",
-        type=float,
-        default=None,
+        type=_finite_float,
+        default=PT_RESIDUAL_TOL,
         help=f"residual tolerance for symmetry checks (default {PT_RESIDUAL_TOL})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -422,14 +377,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", parents=[tol], help="closed-form two-level family bundles")
     p.add_argument("kind", choices=["symmetric", "general", "general-t"])
-    p.add_argument("--r", type=float, default=0.0)
-    p.add_argument("--s", type=float, default=0.0)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--u", type=float, default=0.0, help="antisymmetric coupling (general kinds)")
-    p.add_argument("--phi", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=0.0, help="time-reversal phase (general-t)")
-    p.add_argument("--xi", type=float, default=0.0, help="time-reversal angle (general-t)")
-    p.add_argument("--zeta", type=float, default=0.0, help="time-reversal axis angle (general-t)")
+    p.add_argument("--r", type=_finite_float, default=0.0)
+    p.add_argument("--s", type=_finite_float, default=0.0)
+    p.add_argument("--t", type=_finite_float, default=0.0)
+    p.add_argument("--u", type=_finite_float, default=0.0, help="antisymmetric coupling (general kinds)")
+    p.add_argument("--phi", type=_finite_float, default=0.0)
+    p.add_argument("--gamma", type=_finite_float, default=0.0, help="time-reversal phase (general-t)")
+    p.add_argument("--xi", type=_finite_float, default=0.0, help="time-reversal angle (general-t)")
+    p.add_argument("--zeta", type=_finite_float, default=0.0, help="time-reversal axis angle (general-t)")
     p.add_argument(
         "--allow-broken",
         action="store_true",
@@ -440,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", parents=[tol], help="CSV norm trajectory of exp(-iHt) psi0")
     p.add_argument("input", help="matrix document (JSON)")
     p.add_argument("--state", required=True, help="initial state document (JSON)")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=1.0)
+    p.add_argument("--t0", type=_finite_float, default=0.0)
+    p.add_argument("--t1", type=_finite_float, default=1.0)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--norm", choices=["euclidean", "metric"], default="euclidean")
     p.set_defaults(func=cmd_evolve)
@@ -461,19 +416,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliInputError as exc:
+    except (CliInputError, NonFiniteError, DimensionMismatchError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except (NonFiniteError, DimensionMismatchError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except _SYMMETRY_ERRORS as exc:
+    except PHTError as exc:
         sys.stderr.write(f"error: {exc.__class__.__name__}: {exc}\n")
         return EXIT_SYMMETRY
-
-
-def entry() -> None:  # console-script hook
-    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ from .errors import (
     OutOfRangeError,
 )
 from .linalg import (
-    EIGVEC_CONDITION_LIMIT,
     SpectrumClass,
     as_square_matrix,
     as_state_vector,
@@ -60,10 +59,7 @@ def _propagated_state(spec: EvolutionSpec):
     matrix exponential per requested time.
     """
     spectral = eigendecompose(spec.hamiltonian)
-    if (
-        spectral.classification is not SpectrumClass.NEAR_DEFECTIVE
-        and spectral.eigvec_condition < EIGVEC_CONDITION_LIMIT
-    ):
+    if spectral.classification is not SpectrumClass.NEAR_DEFECTIVE:
         w = spectral.eigenvalues
         v = spectral.eigenvectors
         coeff = np.linalg.solve(v, spec.initial_state)
@@ -73,10 +69,7 @@ def _propagated_state(spec: EvolutionSpec):
 
         return state
 
-    def state(t: float) -> np.ndarray:
-        return matrix_exp(-1j * spec.hamiltonian * (t - spec.t0)) @ spec.initial_state
-
-    return state
+    return lambda t: evolve(spec, t)
 
 
 def evolve(spec: EvolutionSpec, time: float) -> np.ndarray:
@@ -119,10 +112,8 @@ def norm_trajectory(spec: EvolutionSpec, kind="euclidean") -> NormTrajectory:
     """
     if isinstance(kind, InnerProductKind):
         ip = kind
-        label = kind.label
     elif kind == "euclidean":
         ip = InnerProductKind.euclidean()
-        label = "euclidean"
     elif kind == "metric":
         try:
             metric = metric_from_hamiltonian(spec.hamiltonian)
@@ -131,7 +122,6 @@ def norm_trajectory(spec: EvolutionSpec, kind="euclidean") -> NormTrajectory:
                 "no positive-definite metric exists for this Hamiltonian"
             ) from exc
         ip = InnerProductKind.metric_eta(metric)
-        label = "metric-eta"
     else:
         raise ValueError(f"unknown norm kind {kind!r}")
 
@@ -141,7 +131,7 @@ def norm_trajectory(spec: EvolutionSpec, kind="euclidean") -> NormTrajectory:
     for i, t in enumerate(times):
         psi = state(t)
         norms[i] = np.sqrt(abs(inner_product(psi, psi, ip).real))
-    return NormTrajectory(times, norms, label)
+    return NormTrajectory(times, norms, ip.label)
 
 
 def fit_growth_rate(trajectory: NormTrajectory, skip_fraction: float = 0.4) -> float:

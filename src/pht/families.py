@@ -300,7 +300,11 @@ def general_t_hamiltonian(
         raise BrokenSymmetryParamsError(
             f"|s| = {abs(base.s)} is not below sqrt(t^2 + u^2) = {np.hypot(base.t, base.u)}"
         )
-    u = unitary_sqrt_of_tau(tparams)
+    return _general_t_system(base, unitary_sqrt_of_tau(tparams))
+
+
+def _general_t_system(base: GeneralFamilyParams, u: np.ndarray) -> GeneralTSystem:
+    """The triple of :func:`general_t_hamiltonian` for ``U = u``, broken regime included."""
     u_inv = u.conj().T
     h = u @ general_hamiltonian(base) @ u_inv
     parity = u @ parity_from_angle(base.phi) @ u_inv

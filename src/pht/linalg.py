@@ -19,8 +19,7 @@ from .errors import (
     ComplexSpectrumError,
     NonFiniteError,
     NotDiagonalizableError,
-    NotHermitianError,
-    NotPositiveDefiniteError,
+    PHTError,
 )
 
 # Relative tolerance deciding whether an eigenvalue counts as real.
@@ -31,8 +30,11 @@ EIGVEC_CONDITION_LIMIT = 1e8
 # Eigenvalue gap, relative to ||H||_F, below which neighbours are clustered
 # as a degenerate group.
 DEGENERATE_GAP_RTOL = 1e-8
-# Hermiticity tolerance for the positive square root.
+# Hermiticity tolerance for operators that must be Hermitian.
 HERMITICITY_RTOL = 1e-10
+# Relative reciprocal condition number below which a weight or parity
+# operator is treated as singular.
+WEIGHT_RCOND_LIMIT = 1e-13
 
 IDENTITY2 = np.eye(2, dtype=complex)
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -75,6 +77,16 @@ def as_state_vector(state) -> np.ndarray:
     if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
         raise NonFiniteError("state vector contains non-finite entries")
     return v
+
+
+def _require_nonsingular(matrix: np.ndarray, error: type[PHTError], name: str) -> None:
+    """Raise ``error`` when ``sigma_min / sigma_max <= WEIGHT_RCOND_LIMIT``."""
+    sv = np.linalg.svd(matrix, compute_uv=False)
+    if sv[-1] <= WEIGHT_RCOND_LIMIT * sv[0]:
+        raise error(
+            f"{name} is numerically singular: reciprocal condition number "
+            f"{sv[-1] / max(sv[0], 1e-300):.3e} <= {WEIGHT_RCOND_LIMIT:.1e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -196,7 +208,13 @@ def biorthonormalize(
             f"exceeds {EIGVEC_CONDITION_LIMIT:.1e}"
         )
     if spectral.classification is SpectrumClass.CONJUGATE_PAIRS:
-        raise ComplexSpectrumError("matrix has complex eigenvalues; no real biorthonormal system")
+        w = spectral.eigenvalues
+        bound = reality_rtol * (1.0 + np.abs(w))
+        k = int(np.argmax(np.abs(w.imag) - bound))
+        raise ComplexSpectrumError(
+            f"matrix has complex eigenvalues; |Im w| = {abs(w[k].imag):.3e} exceeds its "
+            f"reality bound {bound[k]:.3e}; no real biorthonormal system"
+        )
 
     w = spectral.eigenvalues.real.copy()
     v = spectral.eigenvectors.copy()
@@ -233,31 +251,6 @@ def biorthonormalize(
         return BiorthonormalSystem(w, psis, phis)
 
     raise ValueError(f"unknown normalization {normalization!r}")
-
-
-def hermitian_positive_sqrt(matrix) -> np.ndarray:
-    """Unique positive-definite square root of a Hermitian positive matrix.
-
-    Computed spectrally: ``A = V diag(w) V^dagger`` with ``w > 0`` gives
-    ``sqrt(A) = V diag(sqrt(w)) V^dagger``.
-
-    Raises
-    ------
-    NotHermitianError
-        If ``matrix`` deviates from Hermiticity beyond tolerance.
-    NotPositiveDefiniteError
-        If any eigenvalue is non-positive.
-    """
-    a = as_square_matrix(matrix)
-    scale = float(np.linalg.norm(a))
-    if np.linalg.norm(a - a.conj().T) > HERMITICITY_RTOL * (1.0 + scale):
-        raise NotHermitianError("matrix is not Hermitian")
-    # eigh reads the lower triangle only; symmetrize first to spend the
-    # anti-Hermitian roundoff evenly.
-    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
-    if w[0] <= 1e-13 * max(abs(w[-1]), 1e-300):
-        raise NotPositiveDefiniteError(f"smallest eigenvalue {w[0]:.3e} is not positive")
-    return (v * np.sqrt(w)) @ v.conj().T
 
 
 def matrix_exp(matrix) -> np.ndarray:

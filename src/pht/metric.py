@@ -23,14 +23,19 @@ from .errors import (
     NotPseudoHermitianError,
     SingularWeightError,
 )
-from .linalg import BiorthonormalSystem, as_square_matrix, as_state_vector, biorthonormalize
+from .linalg import (
+    HERMITICITY_RTOL,
+    REALITY_RTOL,
+    BiorthonormalSystem,
+    _require_nonsingular,
+    as_square_matrix,
+    as_state_vector,
+    biorthonormalize,
+)
 
 # Residual above which a (Hamiltonian, metric) pair is rejected as not
 # pseudo-Hermitian.
 PSEUDO_HERMITICITY_TOL = 1e-8
-# Relative reciprocal condition number below which a weight operator is
-# treated as singular.
-WEIGHT_RCOND_LIMIT = 1e-13
 
 
 @dataclass(frozen=True)
@@ -79,8 +84,11 @@ def build_eta_plus(system: BiorthonormalSystem) -> MetricOperator:
     eta = phi @ phi.conj().T
     eta = 0.5 * (eta + eta.conj().T)
     w, v = np.linalg.eigh(eta)
-    if w[0] <= 1e-13 * max(abs(w[-1]), 1e-300):
-        raise NotPositiveDefiniteError(f"metric eigenvalue {w[0]:.3e} is not positive")
+    floor = 1e-13 * max(abs(w[-1]), 1e-300)
+    if w[0] <= floor:
+        raise NotPositiveDefiniteError(
+            f"metric eigenvalue {w[0]:.3e} is not above {floor:.3e} (1e-13 * largest eigenvalue)"
+        )
     roots = np.sqrt(w)
     rho = (v * roots) @ v.conj().T
     rho_inv = (v * (1.0 / roots)) @ v.conj().T
@@ -121,9 +129,7 @@ def verify_pseudo_hermiticity(hamiltonian, weight) -> float:
     w = as_square_matrix(weight)
     if h.shape != w.shape:
         raise DimensionMismatchError(f"operator shapes differ: {h.shape} vs {w.shape}")
-    sv = np.linalg.svd(w, compute_uv=False)
-    if sv[-1] <= WEIGHT_RCOND_LIMIT * sv[0]:
-        raise SingularWeightError("weight operator is numerically singular")
+    _require_nonsingular(w, SingularWeightError, "weight operator")
     hnorm = float(np.linalg.norm(h))
     if hnorm == 0.0:
         return 0.0
@@ -185,11 +191,9 @@ class InnerProductKind:
     def pseudo_eta(cls, weight) -> "InnerProductKind":
         """Indefinite product ``<psi, W phi>`` for Hermitian invertible ``W``."""
         w = as_square_matrix(weight)
-        if np.linalg.norm(w - w.conj().T) > 1e-10 * (1.0 + np.linalg.norm(w)):
+        if np.linalg.norm(w - w.conj().T) > HERMITICITY_RTOL * (1.0 + np.linalg.norm(w)):
             raise NotHermitianError("pseudo inner-product weight must be Hermitian")
-        sv = np.linalg.svd(w, compute_uv=False)
-        if sv[-1] <= WEIGHT_RCOND_LIMIT * sv[0]:
-            raise SingularWeightError("pseudo inner-product weight is singular")
+        _require_nonsingular(w, SingularWeightError, "pseudo inner-product weight")
         return cls("pseudo-eta", w)
 
     @classmethod
@@ -238,10 +242,9 @@ def metric_from_hamiltonian(
     hamiltonian,
     *,
     normalization: str = "unit",
-    reality_rtol: float | None = None,
+    reality_rtol: float = REALITY_RTOL,
 ) -> MetricOperator:
     """Convenience composition: biorthonormalize ``H`` and build its metric."""
-    kwargs = {"normalization": normalization}
-    if reality_rtol is not None:
-        kwargs["reality_rtol"] = reality_rtol
-    return build_eta_plus(biorthonormalize(hamiltonian, **kwargs))
+    return build_eta_plus(
+        biorthonormalize(hamiltonian, normalization=normalization, reality_rtol=reality_rtol)
+    )

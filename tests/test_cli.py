@@ -15,7 +15,16 @@ from pht.cli import (
     parse_state_document,
     state_document,
 )
-from pht.families import SymmetricFamilyParams, symmetric_hamiltonian
+from pht.antilinear import TimeReversalParams
+from pht.families import (
+    GeneralFamilyParams,
+    SymmetricFamilyParams,
+    general_hamiltonian,
+    general_t_hamiltonian,
+    reduce_general_to_symmetric,
+    symmetric_hamiltonian,
+    symmetric_operators,
+)
 from pht.metric import verify_pseudo_hermiticity
 
 # Golden values for the family point (0, 1, 2, 0), alpha = pi/6.
@@ -258,6 +267,80 @@ def test_family_general_t_golden(tmp_path, capsys):
     npt.assert_allclose(u @ u, parse_matrix_document(bundle["tau"]), atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "r, s, t, u, phi",
+    [(0.0, 1.0, 1.0, 1.0, 0.0), (0.3, -0.7, 1.1, 0.4, 2.5), (-1.0, 0.2, -0.9, -0.6, 5.9)],
+)
+def test_family_general_output_is_the_library_bit_for_bit(capsys, r, s, t, u, phi):
+    params = GeneralFamilyParams(r, s, t, u, phi)
+    reduction = reduce_general_to_symmetric(params)
+    u1 = reduction.u1
+    ops = symmetric_operators(reduction.params)
+    flags = ["--r", repr(r), "--s", repr(s), "--t", repr(t), "--u", repr(u), "--phi", repr(phi)]
+
+    rc, out, _ = run(capsys, ["family", "general", *flags])
+    assert rc == EXIT_OK
+    bundle = json.loads(out)
+    assert np.array_equal(parse_matrix_document(bundle["hamiltonian"]), general_hamiltonian(params))
+    for key in ("eta_plus", "parity", "charge", "rho_plus", "hermitian_h"):
+        expected = u1 @ getattr(ops, key) @ u1.conj().T
+        assert np.array_equal(parse_matrix_document(bundle[key]), expected), key
+
+    tparams = TimeReversalParams(0.4, 1.3, 2.2)
+    system = general_t_hamiltonian(params, tparams)
+    angles = ["--gamma", "0.4", "--xi", "1.3", "--zeta", "2.2"]
+    rc, out, _ = run(capsys, ["family", "general-t", *flags, *angles])
+    assert rc == EXIT_OK
+    bundle = json.loads(out)
+    assert np.array_equal(parse_matrix_document(bundle["hamiltonian"]), system.hamiltonian)
+    assert np.array_equal(parse_matrix_document(bundle["pt_parity"]), system.parity)
+    assert np.array_equal(parse_matrix_document(bundle["tau"]), system.time_reversal.tau)
+
+
+def test_family_general_t_allow_broken_emits_the_hamiltonian(capsys):
+    argv = ["family", "general-t", "--s", "2", "--t", "1", "--u", "0.5", "--xi", "0.7"]
+    rc, out, err = run(capsys, argv)
+    assert rc == EXIT_SYMMETRY and out == "" and "--allow-broken" in err
+    rc, out, _ = run(capsys, [*argv, "--allow-broken"])
+    assert rc == EXIT_OK
+    bundle = json.loads(out)
+    assert bundle["broken"] is True
+    assert list(bundle) == ["kind", "broken", "hamiltonian", "u", "tau", "pt_parity"]
+    h = parse_matrix_document(bundle["hamiltonian"])
+    u = parse_matrix_document(bundle["u"])
+    broken = general_hamiltonian(GeneralFamilyParams(0.0, 2.0, 1.0, 0.5, 0.0))
+    assert np.array_equal(h, u @ broken @ u.conj().T)
+
+
+FLOAT_FLAGS = ["--r", "--s", "--t", "--u", "--phi", "--gamma", "--xi", "--zeta", "--rtol", "--atol"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", ["symmetric", "general", "general-t"])
+def test_family_rejects_non_finite_flags(capsys, kind, value):
+    for flag in FLOAT_FLAGS:
+        with pytest.raises(SystemExit) as exc:
+            main(["family", kind, "--s", "1", "--t", "2", f"{flag}={value}"])
+        assert exc.value.code == EXIT_INPUT, flag
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["symmetric", "general", "general-t"])
+def test_family_overflow_exits_2(capsys, kind):
+    rc, out, err = run(capsys, ["family", kind, "--r", "1e308", "--t", "1e308"])
+    assert rc == EXIT_INPUT and out == ""
+    assert "not finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+@pytest.mark.parametrize("flag", ["--t0", "--t1"])
+def test_evolve_rejects_non_finite_window(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "h.json", "--state", "psi.json", f"{flag}={value}"])
+    assert exc.value.code == EXIT_INPUT
+
+
 def test_family_broken_exit_and_allow_broken(capsys):
     rc, _, err = run(capsys, ["family", "symmetric", "--s", "2", "--t", "1"])
     assert rc == EXIT_SYMMETRY
@@ -348,6 +431,39 @@ def test_check_pt_singular_parity(tmp_path, capsys):
     rc, _, err = run(capsys, ["check-pt", h_path, "--parity", p_path])
     assert rc == EXIT_SYMMETRY
     assert "SingularParity" in err
+
+
+@pytest.mark.parametrize(
+    "h, parity",
+    [
+        (symmetric_hamiltonian(SymmetricFamilyParams(0.0, 1.0, 2.0, 0.0)), np.diag([1.0, -1.0])),
+        (symmetric_hamiltonian(SymmetricFamilyParams(0.0, 2.0, 1.0, 0.0)), np.diag([1.0, -1.0])),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2)),
+        (np.diag([1.0, 1.0, 2.0]), np.eye(3)),
+        (np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2)),
+    ],
+    ids=["exact-family", "broken-family", "jordan-block", "degenerate-cluster", "rotation"],
+)
+def test_analyze_and_check_pt_reach_the_same_verdict(tmp_path, capsys, h, parity):
+    h_path = write_matrix(tmp_path, "h.json", h)
+    p_path = write_matrix(tmp_path, "p.json", parity)
+    verdicts = []
+    for command in ("analyze", "check-pt"):
+        rc, out, _ = run(capsys, [command, h_path, "--parity", p_path])
+        assert rc == EXIT_OK
+        report = json.loads(out)
+        assert report["pt_symmetric"]
+        verdicts.append((report["exact"], report["failure_reason"]))
+    assert verdicts[0] == verdicts[1]
+
+
+def test_parity_dimension_mismatch_exits_2(tmp_path, capsys):
+    h_path = family_matrix_path(tmp_path)
+    p_path = write_matrix(tmp_path, "p.json", np.eye(3))
+    for command in ("analyze", "check-pt"):
+        rc, out, err = run(capsys, [command, h_path, "--parity", p_path])
+        assert rc == EXIT_INPUT and out == ""
+        assert err.startswith("error:")
 
 
 @pytest.mark.parametrize(

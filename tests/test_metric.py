@@ -98,6 +98,8 @@ def test_verify_pseudo_hermiticity_basics():
     h = np.diag([1.0, 2.0])
     assert verify_pseudo_hermiticity(h, np.eye(2)) < 1e-15
     assert verify_pseudo_hermiticity(np.zeros((2, 2)), np.eye(2)) == 0.0
+    with pytest.raises(SingularWeightError, match=r"condition number 1\.000e-15 <= 1\.0e-13"):
+        verify_pseudo_hermiticity(h, np.diag([1.0, 1e-15]))
     with pytest.raises(SingularWeightError):
         verify_pseudo_hermiticity(h, np.diag([1.0, 0.0]))
     with pytest.raises(DimensionMismatchError):
@@ -206,5 +208,5 @@ def test_build_eta_plus_rejects_invalid_system():
         np.eye(2, dtype=complex),
         np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex),
     )
-    with pytest.raises(NotPositiveDefiniteError):
+    with pytest.raises(NotPositiveDefiniteError, match=r"0\.000e\+00 is not above 2\.000e-13"):
         build_eta_plus(bad)
