@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatchError, NotPTSymmetricError, SingularParityError
 from .linalg import (
@@ -20,11 +19,11 @@ from .linalg import (
     SIGMA3,
     SpectrumClass,
     _degenerate_clusters,
+    _pauli_exp,
     _require_nonsingular,
     as_square_matrix,
     as_state_vector,
     eigendecompose,
-    matrix_exp,
 )
 
 # Residual bound for the symmetric/unitary tests of an involution.
@@ -121,9 +120,7 @@ def make_time_reversal(params: TimeReversalParams) -> AntilinearOperator:
     Every ``tau`` of this form is symmetric unitary, and (up to the sign
     ambiguity of the square root) every 2x2 symmetric unitary arises this way.
     """
-    tau = np.exp(1j * params.gamma) * (
-        np.cos(params.xi) * np.eye(2) + 1j * np.sin(params.xi) * _axis_matrix(params.zeta)
-    )
+    tau = np.exp(1j * params.gamma) * _pauli_exp(params.xi, _axis_matrix(params.zeta))
     return AntilinearOperator(tau)
 
 
@@ -134,7 +131,7 @@ def unitary_sqrt_of_tau(params: TimeReversalParams) -> np.ndarray:
     conjugation by ``U`` pulls the antilinear symmetry back to plain complex
     conjugation, since ``tau psi^* = U (U^{-1} psi)^*`` for symmetric unitary ``U``.
     """
-    u = matrix_exp(0.5j * params.xi * _axis_matrix(params.zeta))
+    u = _pauli_exp(0.5 * params.xi, _axis_matrix(params.zeta))
     return np.exp(0.5j * params.gamma) * u
 
 
@@ -193,6 +190,8 @@ def _pt_fix_cluster(columns: np.ndarray, pt_linear: np.ndarray) -> np.ndarray:
     real-independent subset (fixed vectors form a real vector space) yields a
     complex basis of the eigenspace.
     """
+    import scipy.linalg  # on first use, as in matrix_exp: only degenerate clusters need it
+
     k = columns.shape[1]
     candidates = []
     for j in range(k):
@@ -235,7 +234,13 @@ def check_exactness(
     residual = check_pt_symmetry(h, parity, time_reversal)
     if residual > pt_tol:
         raise NotPTSymmetricError(f"PT commutator residual {residual:.3e} exceeds {pt_tol:.1e}")
+    return _spectral_exactness(h, parity, time_reversal, reality_rtol)
 
+
+def _spectral_exactness(
+    h: np.ndarray, parity, time_reversal: AntilinearOperator, reality_rtol: float
+) -> ExactnessReport:
+    """The spectral half of :func:`check_exactness`, for a pair already known to commute."""
     spectral = eigendecompose(h, reality_rtol)
     failure = _exactness_failure(spectral.classification)
     if failure is not None:

@@ -22,7 +22,7 @@ from .antilinear import (
     AntilinearOperator,
     TimeReversalParams,
     _exactness_failure,
-    check_exactness,
+    _spectral_exactness,
     check_pt_symmetry,
     unitary_sqrt_of_tau,
 )
@@ -163,9 +163,9 @@ def _reality_rtol(args) -> float:
     env = os.environ.get(RTOL_ENV_VAR)
     if env is not None:
         try:
-            return float(env)
-        except ValueError as exc:
-            raise CliInputError(f"{RTOL_ENV_VAR} must be a float, got {env!r}") from exc
+            return _finite_float(env)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise CliInputError(f"{RTOL_ENV_VAR} must be a finite float, got {env!r}") from exc
     return REALITY_RTOL
 
 
@@ -203,12 +203,14 @@ def cmd_analyze(args) -> int:
     else:
         failure_reason = "not_pt_symmetric"
     exact = failure_reason is None
+    # JSON has no infinity: an exactly defective input reports a null condition.
+    cond = spectral.eigvec_condition
 
     report = {
         "dim": h.shape[0],
         "classification": spectral.classification.value,
         "eigenvalues": [[w.real, w.imag] for w in spectral.eigenvalues],
-        "eigvec_condition": spectral.eigvec_condition,
+        "eigvec_condition": cond if np.isfinite(cond) else None,
         "pt_residual": pt_residual,
         "pt_symmetric": pt_symmetric,
         "exact": exact,
@@ -326,9 +328,7 @@ def cmd_check_pt(args) -> int:
         "failure_reason": None,
     }
     if report["pt_symmetric"]:
-        exactness = check_exactness(
-            h, parity, time_reversal, pt_tol=args.atol, reality_rtol=_reality_rtol(args)
-        )
+        exactness = _spectral_exactness(h, parity, time_reversal, _reality_rtol(args))
         report["exact"] = exactness.exact
         report["failure_reason"] = exactness.failure_reason
     _emit(report)

@@ -30,7 +30,7 @@ from .errors import (
     ExceptionalPointError,
     InvalidAxisError,
 )
-from .linalg import IDENTITY2, PAULI, SIGMA1, SIGMA2, BiorthonormalSystem, matrix_exp
+from .linalg import IDENTITY2, PAULI, SIGMA1, SIGMA2, BiorthonormalSystem, _pauli_exp
 
 # Relative margin to the exceptional point |s| = |t| inside which the closed
 # forms are refused.
@@ -209,8 +209,8 @@ def pauli_rotation(axis: int, theta: float, target: int) -> np.ndarray:
     for name, idx in (("axis", axis), ("target", target)):
         if idx not in (1, 2, 3):
             raise InvalidAxisError(f"{name} must be 1, 2 or 3, got {idx!r}")
-    left = matrix_exp(-0.5j * theta * PAULI[axis - 1])
-    right = matrix_exp(0.5j * theta * PAULI[axis - 1])
+    left = _pauli_exp(-0.5 * theta, PAULI[axis - 1])
+    right = _pauli_exp(0.5 * theta, PAULI[axis - 1])
     return left @ PAULI[target - 1] @ right
 
 
@@ -263,9 +263,9 @@ def reduce_general_to_symmetric(p: GeneralFamilyParams) -> SymmetricReduction:
     beta = float(np.arctan2(p.u, p.t)) % (2.0 * np.pi)
     params = SymmetricFamilyParams(p.r, p.s, t_prime, p.phi)
     u1 = (
-        matrix_exp(-0.5j * p.phi * SIGMA2)
-        @ matrix_exp(0.5j * beta * SIGMA1)
-        @ matrix_exp(0.5j * p.phi * SIGMA2)
+        _pauli_exp(-0.5 * p.phi, SIGMA2)
+        @ _pauli_exp(0.5 * beta, SIGMA1)
+        @ _pauli_exp(0.5 * p.phi, SIGMA2)
     )
     return SymmetricReduction(symmetric_hamiltonian(params), u1, params)
 

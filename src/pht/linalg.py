@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ComplexSpectrumError,
@@ -254,5 +253,21 @@ def biorthonormalize(
 
 
 def matrix_exp(matrix) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring, via scipy)."""
+    """Matrix exponential (scaling-and-squaring, via scipy).
+
+    scipy is imported on the first call rather than with the package, so
+    ``import pht`` and every path that needs no dense exponential stay free
+    of its import cost.
+    """
+    import scipy.linalg
+
     return scipy.linalg.expm(as_square_matrix(matrix))
+
+
+def _pauli_exp(theta: float, axis: np.ndarray) -> np.ndarray:
+    """``exp(i theta axis) = cos(theta) 1 + i sin(theta) axis`` in closed form.
+
+    Valid only for an involutory ``axis`` (``axis @ axis = 1``), such as a
+    Pauli matrix or a unit combination of anticommuting ones.
+    """
+    return np.cos(theta) * np.eye(axis.shape[0]) + 1j * np.sin(theta) * axis

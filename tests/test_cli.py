@@ -528,6 +528,50 @@ def test_reality_rtol_env_and_flag(tmp_path, capsys, monkeypatch):
     assert rc == EXIT_INPUT
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_reality_rtol_env_exits_2(tmp_path, capsys, monkeypatch, value):
+    path = write_matrix(tmp_path, "h.json", np.diag([1.0, 2.0]))
+    monkeypatch.setenv("PHT_RTOL", value)
+    rc, out, err = run(capsys, ["metric", path])
+    assert rc == EXIT_INPUT and out == ""
+    assert "PHT_RTOL" in err and repr(value) in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "h",
+    [np.array([[0.0, 0.0], [1.0, 0.0]]), np.eye(4, k=1)],
+    ids=["jordan-2", "shift-4"],
+)
+def test_analyze_defective_input_is_strict_json(tmp_path, capsys, h):
+    path = write_matrix(tmp_path, "h.json", h)
+    rc, out, _ = run(capsys, ["analyze", path])
+    assert rc == EXIT_OK
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["eigvec_condition"] is None
+    assert report["classification"] == "near-defective"
+    assert report["failure_reason"] == "not_diagonalizable"
+
+
+def test_check_pt_computes_the_parity_svd_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    h_path = family_matrix_path(tmp_path)
+    p_path = write_matrix(tmp_path, "p.json", np.diag([1.0, -1.0]))
+    rc, out, _ = run(capsys, ["check-pt", h_path, "--parity", p_path])
+    assert rc == EXIT_OK and json.loads(out)["exact"]
+    assert len(calls) == 1
+
+
 def test_atol_flag_loosens_symmetry_check(tmp_path, capsys):
     h = symmetric_hamiltonian(SymmetricFamilyParams(0.0, 1.0, 2.0, 0.0))
     h = h + 1e-6 * np.array([[0.0, 1.0], [0.0, 0.0]])

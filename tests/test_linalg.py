@@ -3,6 +3,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from pht.antilinear import _axis_matrix
 from pht.errors import (
     ComplexSpectrumError,
     NonFiniteError,
@@ -15,6 +16,7 @@ from pht.linalg import (
     SIGMA2,
     SIGMA3,
     SpectrumClass,
+    _pauli_exp,
     as_square_matrix,
     as_state_vector,
     biorthonormalize,
@@ -167,6 +169,16 @@ def test_matrix_exp_pauli_identity():
         for a in (0.0, 0.3, -1.2, np.pi):
             expected = np.cos(a) * IDENTITY2 + 1j * np.sin(a) * sigma
             npt.assert_allclose(matrix_exp(1j * a * sigma), expected, atol=ATOL)
+
+
+def test_pauli_exp_matches_dense_exponential():
+    # half angles of [-2 pi, 2 pi], the range the reductions and tau roots use
+    rng = np.random.default_rng(2003)
+    for _ in range(200):
+        theta = rng.uniform(-np.pi, np.pi)
+        for axis in (*PAULI, _axis_matrix(rng.uniform(0.0, 2.0 * np.pi))):
+            expected = matrix_exp(1j * theta * axis)
+            npt.assert_allclose(_pauli_exp(theta, axis), expected, rtol=0, atol=1e-15)
 
 
 def test_matrix_exp_partial_sum_oracle():
