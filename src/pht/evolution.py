@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import (
     ComplexSpectrumError,
+    DimensionMismatchError,
+    NonFiniteError,
     NoPositiveMetricError,
     NotDiagonalizableError,
     NotPositiveDefiniteError,
@@ -25,7 +27,11 @@ from .linalg import (
     eigendecompose,
     matrix_exp,
 )
-from .metric import InnerProductKind, inner_product, metric_from_hamiltonian
+from .metric import InnerProductKind, metric_from_hamiltonian
+
+# Complex entries per propagated block of the time grid (4 MiB), which bounds
+# the memory of a trajectory whatever its number of steps.
+_BLOCK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -51,25 +57,42 @@ class EvolutionSpec:
         object.__setattr__(self, "initial_state", psi)
 
 
-def _propagated_state(spec: EvolutionSpec):
-    """Return a callable ``t -> psi(t)``.
+def _propagate(spec: EvolutionSpec, times: np.ndarray):
+    """Yield the states ``psi(t)`` for ``times`` as consecutive ``(d, k)`` blocks.
 
-    Diagonalizable Hamiltonians are propagated spectrally (one decomposition,
-    exact exponentials per sample); near-defective ones fall back to a dense
-    matrix exponential per requested time.
+    Column ``j`` of the blocks, taken in order, is ``psi(times[j])``.  Each
+    block holds at most ``_BLOCK_ENTRIES`` complex entries, so memory grows
+    with the block and not with the number of samples.  A diagonalizable
+    ``H = V diag(w) V^{-1}`` is decomposed once for all times and propagated
+    as ``V exp(-i w (t - t0)) V^{-1} psi0``, exact up to ``cond(V) eps``;
+    a near-defective one falls back to a dense matrix exponential per time.
+
+    Raises
+    ------
+    NonFiniteError
+        If a propagated state has a NaN or infinite entry: a non-finite
+        time, or growth past double precision in the broken regime.
     """
-    spectral = eigendecompose(spec.hamiltonian)
-    if spectral.classification is not SpectrumClass.NEAR_DEFECTIVE:
-        w = spectral.eigenvalues
-        v = spectral.eigenvectors
-        coeff = np.linalg.solve(v, spec.initial_state)
-
-        def state(t: float) -> np.ndarray:
-            return v @ (np.exp(-1j * w * (t - spec.t0)) * coeff)
-
-        return state
-
-    return lambda t: evolve(spec, t)
+    h, psi0 = spec.hamiltonian, spec.initial_state
+    spectral = eigendecompose(h)
+    spectral_path = spectral.classification is not SpectrumClass.NEAR_DEFECTIVE
+    if spectral_path:
+        coeff = np.linalg.solve(spectral.eigenvectors, psi0)[:, None]
+    # A power-of-two width keeps every block start on the column unrolling of
+    # the BLAS product, so blocks round as one block would; only a one-column
+    # tail, which numpy hands to gemv, may differ in the last bit.
+    width = 1 << max(0, (_BLOCK_ENTRIES // psi0.shape[0]).bit_length() - 1)
+    for start in range(0, times.shape[0], width):
+        block = times[start:start + width]
+        if spectral_path:
+            phases = np.exp(-1j * np.outer(spectral.eigenvalues, block - spec.t0))
+            states = spectral.eigenvectors @ (phases * coeff)
+        else:
+            states = np.stack([matrix_exp(-1j * h * (t - spec.t0)) @ psi0 for t in block], axis=1)
+        finite = np.isfinite(states).all(axis=0)
+        if not finite.all():
+            raise NonFiniteError(f"propagated state is not finite at t = {block[np.argmin(finite)]}")
+        yield states
 
 
 def evolve(spec: EvolutionSpec, time: float) -> np.ndarray:
@@ -79,10 +102,12 @@ def evolve(spec: EvolutionSpec, time: float) -> np.ndarray:
     ------
     OutOfRangeError
         If ``time`` lies outside ``[t0, t1]``.
+    NonFiniteError
+        If ``time`` is NaN or the state overflows double precision.
     """
     if time < spec.t0 or time > spec.t1:
         raise OutOfRangeError(f"time {time} outside window [{spec.t0}, {spec.t1}]")
-    return matrix_exp(-1j * spec.hamiltonian * (time - spec.t0)) @ spec.initial_state
+    return next(_propagate(spec, np.array([time], dtype=float)))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -125,13 +150,16 @@ def norm_trajectory(spec: EvolutionSpec, kind="euclidean") -> NormTrajectory:
     else:
         raise ValueError(f"unknown norm kind {kind!r}")
 
-    state = _propagated_state(spec)
+    d = spec.initial_state.shape[0]
+    if ip.weight is not None and ip.weight.shape[0] != d:
+        raise DimensionMismatchError(f"weight dim {ip.weight.shape[0]} != state dim {d}")
+
     times = np.linspace(spec.t0, spec.t1, spec.steps + 1)
-    norms = np.empty_like(times)
-    for i, t in enumerate(times):
-        psi = state(t)
-        norms[i] = np.sqrt(abs(inner_product(psi, psi, ip).real))
-    return NormTrajectory(times, norms, ip.label)
+    norms = []
+    for psi in _propagate(spec, times):
+        weighted = psi if ip.weight is None else ip.weight @ psi
+        norms.append(np.sqrt(np.abs(np.einsum("ij,ij->j", psi.conj(), weighted).real)))
+    return NormTrajectory(times, np.concatenate(norms), ip.label)
 
 
 def fit_growth_rate(trajectory: NormTrajectory, skip_fraction: float = 0.4) -> float:

@@ -388,6 +388,16 @@ def test_evolve_broken_euclidean_grows(tmp_path, capsys):
     assert np.all(np.diff(norms[5:]) > 0.0)  # monotone envelope after onset
 
 
+def test_evolve_overflow_exits_2(tmp_path, capsys):
+    # eigenvalues +-i: the norm reaches e^750 at t = 750 and overflows
+    h_path = write_matrix(tmp_path, "b.json", np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    s_path = write_state(tmp_path, "psi.json", [1.0, 0.0])
+    with np.errstate(all="ignore"):
+        rc, out, err = run(capsys, ["evolve", h_path, "--state", s_path, "--t1", "1000", "--steps", "4"])
+    assert rc == EXIT_INPUT and out == ""
+    assert "finite" in err
+
+
 def test_evolve_broken_metric_exits_3(tmp_path, capsys):
     h_path = family_matrix_path(tmp_path, s=2.0, t=1.0)
     s_path = write_state(tmp_path, "psi.json", [1.0, 0.0])

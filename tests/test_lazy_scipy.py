@@ -1,7 +1,8 @@
-"""``import pht`` and the CLI on diagonalizable input never load scipy.
+"""``import pht``, the CLI and evolution on diagonalizable input never load scipy.
 
-scipy serves only the dense exponential (near-defective evolution) and the
-pivoted QR of degenerate-cluster exactness, so it is imported on first use.
+scipy serves only the dense exponential (near-defective evolution and
+``matrix_exp``) and the pivoted QR of degenerate-cluster exactness, so it is
+imported on first use.
 Each check runs in a fresh interpreter, where ``sys.modules`` shows exactly
 what the package pulled in.
 """
@@ -37,12 +38,27 @@ def _write(tmp_path, name, document):
     return str(path)
 
 
-def _run_script(argvs):
+# Library evolution: prints whether scipy is loaded after each call.
+LIBRARY_SCRIPT = """
+import json, sys
+import numpy as np
+from pht import EvolutionSpec, evolve, norm_trajectory, symmetric_hamiltonian, SymmetricFamilyParams
+h = symmetric_hamiltonian(SymmetricFamilyParams(0.0, 1.0, 2.0, 0.0))
+spec = EvolutionSpec(h, np.array([1.0, 0.0]), t1=3.0, steps=50)
+evolve(spec, 1.5)
+print(json.dumps(["evolve", 0, "scipy" in sys.modules]))
+for kind in ("euclidean", "metric"):
+    norm_trajectory(spec, kind)
+    print(json.dumps(["norm_trajectory " + kind, 0, "scipy" in sys.modules]))
+"""
+
+
+def _run_script(argvs, script=SCRIPT):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     env.pop("PHT_RTOL", None)
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(argvs)],
+        [sys.executable, "-c", script, json.dumps(argvs)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -76,6 +92,13 @@ def test_cli_on_diagonalizable_input_never_loads_scipy(tmp_path):
     assert len(results) == len(argvs) + 1
     for step, rc, loaded in results:
         assert rc == 0, step
+        assert not loaded, f"scipy loaded by {step}"
+
+
+def test_library_evolution_on_diagonalizable_input_never_loads_scipy():
+    results = _run_script([], LIBRARY_SCRIPT)
+    assert len(results) == 3
+    for step, _, loaded in results:
         assert not loaded, f"scipy loaded by {step}"
 
 
