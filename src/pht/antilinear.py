@@ -30,8 +30,6 @@ from .linalg import (
 INVOLUTION_ATOL = 1e-10
 # PT-commutator residual above which a Hamiltonian is not PT-symmetric.
 PT_RESIDUAL_TOL = 1e-8
-# How closely rescaled eigenvectors must satisfy PT psi = psi.
-FIXED_POINT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -186,26 +184,16 @@ def _pt_fix_cluster(columns: np.ndarray, pt_linear: np.ndarray) -> np.ndarray:
     """Combine degenerate eigenvectors into PT-fixed ones.
 
     For each basis vector the candidates ``psi + PT psi`` and
-    ``i (psi - PT psi)`` are both fixed points; picking a maximal
-    real-independent subset (fixed vectors form a real vector space) yields a
-    complex basis of the eigenspace.
+    ``i (psi - PT psi)`` are both fixed points.  Fixed vectors form a real
+    vector space, so the leading ``k`` left singular vectors of the candidates,
+    taken as real vectors ``[Re; Im]``, are real combinations of fixed points:
+    fixed themselves, of unit norm, and a complex basis of the eigenspace.
     """
-    import scipy.linalg  # on first use, as in matrix_exp: only degenerate clusters need it
-
-    k = columns.shape[1]
-    candidates = []
-    for j in range(k):
-        psi = columns[:, j]
-        chi = pt_linear @ np.conj(psi)
-        candidates.append(psi + chi)
-        candidates.append(1j * (psi - chi))
-    stacked = np.array([np.concatenate([c.real, c.imag]) for c in candidates]).T
-    _, _, pivots = scipy.linalg.qr(stacked, mode="economic", pivoting=True)
-    chosen = []
-    for j in pivots[:k]:
-        vec = candidates[j]
-        chosen.append(vec / np.linalg.norm(vec))
-    return np.array(chosen).T
+    d, k = columns.shape
+    chi = pt_linear @ np.conj(columns)
+    candidates = np.concatenate([columns + chi, 1j * (columns - chi)], axis=1)
+    u, _, _ = np.linalg.svd(np.concatenate([candidates.real, candidates.imag]), full_matrices=False)
+    return u[:d, :k] + 1j * u[d:, :k]
 
 
 def check_exactness(
@@ -234,13 +222,6 @@ def check_exactness(
     residual = check_pt_symmetry(h, parity, time_reversal)
     if residual > pt_tol:
         raise NotPTSymmetricError(f"PT commutator residual {residual:.3e} exceeds {pt_tol:.1e}")
-    return _spectral_exactness(h, parity, time_reversal, reality_rtol)
-
-
-def _spectral_exactness(
-    h: np.ndarray, parity, time_reversal: AntilinearOperator, reality_rtol: float
-) -> ExactnessReport:
-    """The spectral half of :func:`check_exactness`, for a pair already known to commute."""
     spectral = eigendecompose(h, reality_rtol)
     failure = _exactness_failure(spectral.classification)
     if failure is not None:

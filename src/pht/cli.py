@@ -22,7 +22,6 @@ from .antilinear import (
     AntilinearOperator,
     TimeReversalParams,
     _exactness_failure,
-    _spectral_exactness,
     check_pt_symmetry,
     unitary_sqrt_of_tau,
 )
@@ -84,16 +83,23 @@ def _entry_pair(value) -> complex:
     return z
 
 
-def parse_matrix_document(obj) -> np.ndarray:
-    """Parse ``{"dim": D, "entries": [[[re, im], ...] x D] x D}``."""
+def _document_entries(obj, name: str, items: str) -> list:
+    """Check a ``{"dim": D, "entries": [...]}`` header; return the ``D`` entries."""
     if not isinstance(obj, dict):
-        raise CliInputError("matrix document must be a JSON object")
+        raise CliInputError(f"{name} document must be a JSON object")
     dim = obj.get("dim")
     entries = obj.get("entries")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise CliInputError(f"invalid dim: {dim!r}")
     if not isinstance(entries, list) or len(entries) != dim:
-        raise CliInputError(f"entries must be a list of {dim} rows")
+        raise CliInputError(f"entries must be a list of {dim} {items}")
+    return entries
+
+
+def parse_matrix_document(obj) -> np.ndarray:
+    """Parse ``{"dim": D, "entries": [[[re, im], ...] x D] x D}``."""
+    entries = _document_entries(obj, "matrix", "rows")
+    dim = len(entries)
     out = np.empty((dim, dim), dtype=complex)
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != dim:
@@ -105,14 +111,7 @@ def parse_matrix_document(obj) -> np.ndarray:
 
 def parse_state_document(obj) -> np.ndarray:
     """Parse ``{"dim": D, "entries": [[re, im] x D]}``."""
-    if not isinstance(obj, dict):
-        raise CliInputError("state document must be a JSON object")
-    dim = obj.get("dim")
-    entries = obj.get("entries")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise CliInputError(f"invalid dim: {dim!r}")
-    if not isinstance(entries, list) or len(entries) != dim:
-        raise CliInputError(f"entries must be a list of {dim} pairs")
+    entries = _document_entries(obj, "state", "pairs")
     return np.array([_entry_pair(pair) for pair in entries])
 
 
@@ -177,31 +176,35 @@ def _canonical_system(matrix: np.ndarray, reality_rtol: float):
     the closed-form two-level operators; anything else uses the default
     unit-norm convention.
     """
-    scale = float(np.linalg.norm(matrix))
-    if np.linalg.norm(matrix - matrix.T) <= 1e-10 * (1.0 + scale):
-        try:
-            return biorthonormalize(matrix, normalization="transpose", reality_rtol=reality_rtol)
-        except ValueError:
-            pass  # degenerate or self-orthogonal: fall through
-    return biorthonormalize(matrix, normalization="unit", reality_rtol=reality_rtol)
+    try:
+        return biorthonormalize(matrix, normalization="transpose", reality_rtol=reality_rtol)
+    except ValueError:
+        # not complex symmetric, degenerate or self-orthogonal
+        return biorthonormalize(matrix, normalization="unit", reality_rtol=reality_rtol)
 
 
-def _pt_operators(args, dim: int):
+def _pt_verdict(args, h: np.ndarray, spectral=None):
+    """PT residual of ``h`` under ``--parity``/``--tau``, and the exactness verdict.
+
+    Returns ``(residual, pt_symmetric, failure_reason)``.  The spectrum is
+    consulted only when the residual passes ``--atol``; ``spectral`` is the
+    decomposition of ``h`` when the caller already has it.
+    """
+    dim = h.shape[0]
     parity = _load_matrix(args.parity) if args.parity else np.eye(dim, dtype=complex)
     tau = _load_matrix(args.tau) if args.tau else np.eye(dim, dtype=complex)
-    return parity, AntilinearOperator(tau)
+    residual = check_pt_symmetry(h, parity, AntilinearOperator(tau))
+    if not residual <= args.atol:
+        return residual, False, "not_pt_symmetric"
+    if spectral is None:
+        spectral = eigendecompose(h, _reality_rtol(args))
+    return residual, True, _exactness_failure(spectral.classification)
 
 
 def cmd_analyze(args) -> int:
     h = _load_matrix(args.input)
     spectral = eigendecompose(h, reality_rtol=_reality_rtol(args))
-    parity, time_reversal = _pt_operators(args, h.shape[0])
-    pt_residual = check_pt_symmetry(h, parity, time_reversal)
-    pt_symmetric = pt_residual <= args.atol
-    if pt_symmetric:
-        failure_reason = _exactness_failure(spectral.classification)
-    else:
-        failure_reason = "not_pt_symmetric"
+    pt_residual, pt_symmetric, failure_reason = _pt_verdict(args, h, spectral)
     exact = failure_reason is None
     # JSON has no infinity: an exactly defective input reports a null condition.
     cond = spectral.eigvec_condition
@@ -318,19 +321,15 @@ def cmd_evolve(args) -> int:
 
 def cmd_check_pt(args) -> int:
     h = _load_matrix(args.input)
-    parity, time_reversal = _pt_operators(args, h.shape[0])
-    residual = check_pt_symmetry(h, parity, time_reversal)
+    residual, pt_symmetric, failure_reason = _pt_verdict(args, h)
     report = {
         "dim": h.shape[0],
         "pt_residual": residual,
-        "pt_symmetric": residual <= args.atol,
-        "exact": None,
-        "failure_reason": None,
+        "pt_symmetric": pt_symmetric,
+        # exactness is decided only for a PT-symmetric pair
+        "exact": failure_reason is None if pt_symmetric else None,
+        "failure_reason": failure_reason if pt_symmetric else None,
     }
-    if report["pt_symmetric"]:
-        exactness = _spectral_exactness(h, parity, time_reversal, _reality_rtol(args))
-        report["exact"] = exactness.exact
-        report["failure_reason"] = exactness.failure_reason
     _emit(report)
     if args.require_exact and not report["exact"]:
         return EXIT_SYMMETRY

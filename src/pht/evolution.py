@@ -49,6 +49,8 @@ class EvolutionSpec:
         psi = as_state_vector(self.initial_state)
         if psi.shape[0] != h.shape[0]:
             raise ValueError(f"state dim {psi.shape[0]} != hamiltonian dim {h.shape[0]}")
+        if not (np.isfinite(self.t0) and np.isfinite(self.t1)):
+            raise NonFiniteError(f"time window [t0, t1] = [{self.t0}, {self.t1}] is not finite")
         if not self.t1 > self.t0:
             raise ValueError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
         if self.steps < 1:
@@ -84,11 +86,14 @@ def _propagate(spec: EvolutionSpec, times: np.ndarray):
     width = 1 << max(0, (_BLOCK_ENTRIES // psi0.shape[0]).bit_length() - 1)
     for start in range(0, times.shape[0], width):
         block = times[start:start + width]
-        if spectral_path:
-            phases = np.exp(-1j * np.outer(spectral.eigenvalues, block - spec.t0))
-            states = spectral.eigenvectors @ (phases * coeff)
-        else:
-            states = np.stack([matrix_exp(-1j * h * (t - spec.t0)) @ psi0 for t in block], axis=1)
+        # The finiteness check below names the bad time; numpy's own overflow
+        # warnings would only precede it on stderr.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if spectral_path:
+                phases = np.exp(-1j * np.outer(spectral.eigenvalues, block - spec.t0))
+                states = spectral.eigenvectors @ (phases * coeff)
+            else:
+                states = np.stack([matrix_exp(-1j * h * (t - spec.t0)) @ psi0 for t in block], axis=1)
         finite = np.isfinite(states).all(axis=0)
         if not finite.all():
             raise NonFiniteError(f"propagated state is not finite at t = {block[np.argmin(finite)]}")

@@ -198,8 +198,15 @@ def biorthonormalize(
         If the eigenvector matrix is near-singular.
     ComplexSpectrumError
         If the spectrum is not real to within ``reality_rtol``.
+    ValueError
+        If ``"transpose"`` meets a matrix that is not complex symmetric
+        (tested before the eigendecomposition), a degenerate spectrum or a
+        self-orthogonal eigenvector.
     """
     m = as_square_matrix(matrix)
+    scale = float(np.linalg.norm(m))
+    if normalization == "transpose" and np.linalg.norm(m - m.T) > 1e-10 * (1.0 + scale):
+        raise ValueError("transpose normalization requires a complex symmetric matrix")
     spectral = eigendecompose(m, reality_rtol)
     if spectral.classification is SpectrumClass.NEAR_DEFECTIVE:
         raise NotDiagonalizableError(
@@ -217,7 +224,6 @@ def biorthonormalize(
 
     w = spectral.eigenvalues.real.copy()
     v = spectral.eigenvectors.copy()
-    scale = float(np.linalg.norm(m))
     clusters = _degenerate_clusters(w, scale)
 
     if normalization == "unit":
@@ -234,8 +240,6 @@ def biorthonormalize(
         return BiorthonormalSystem(w, v, phi)
 
     if normalization == "transpose":
-        if np.linalg.norm(m - m.T) > 1e-10 * (1.0 + scale):
-            raise ValueError("transpose normalization requires a complex symmetric matrix")
         if any(len(c) > 1 for c in clusters):
             raise ValueError("transpose normalization requires a nondegenerate spectrum")
         psis = np.empty_like(v)

@@ -26,6 +26,7 @@ from .errors import (
 from .linalg import (
     HERMITICITY_RTOL,
     REALITY_RTOL,
+    WEIGHT_RCOND_LIMIT,
     BiorthonormalSystem,
     _require_nonsingular,
     as_square_matrix,
@@ -84,10 +85,11 @@ def build_eta_plus(system: BiorthonormalSystem) -> MetricOperator:
     eta = phi @ phi.conj().T
     eta = 0.5 * (eta + eta.conj().T)
     w, v = np.linalg.eigh(eta)
-    floor = 1e-13 * max(abs(w[-1]), 1e-300)
+    floor = WEIGHT_RCOND_LIMIT * max(abs(w[-1]), 1e-300)
     if w[0] <= floor:
         raise NotPositiveDefiniteError(
-            f"metric eigenvalue {w[0]:.3e} is not above {floor:.3e} (1e-13 * largest eigenvalue)"
+            f"metric eigenvalue {w[0]:.3e} is not above {floor:.3e} "
+            f"({WEIGHT_RCOND_LIMIT:.0e} * largest eigenvalue)"
         )
     roots = np.sqrt(w)
     rho = (v * roots) @ v.conj().T

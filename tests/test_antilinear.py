@@ -25,7 +25,7 @@ from pht.families import (
     parity_from_angle,
     symmetric_hamiltonian,
 )
-from pht.linalg import SIGMA2, SIGMA3
+from pht.linalg import EIGVEC_CONDITION_LIMIT, SIGMA2, SIGMA3
 
 from conftest import random_exact_symmetric_params
 
@@ -183,6 +183,26 @@ def test_check_exactness_requires_the_symmetry():
         check_exactness(m, np.eye(2), AntilinearOperator(np.eye(2)))
 
 
+def _degenerate_hamiltonians(rng, count):
+    """Pairs ``(H, tau)`` with a k-fold eigenvalue, commuting with ``PT = tau K``.
+
+    A real ``H = S diag(w) S^-1`` (d 3-24, k 2-6) commutes with plain
+    conjugation; ``u H u^dagger`` for a symmetric unitary ``u`` commutes with
+    ``tau = u u^T`` times conjugation.
+    """
+    for _ in range(count):
+        d = int(rng.integers(3, 25))
+        k = int(rng.integers(2, min(d, 6) + 1))
+        levels = rng.uniform(-3.0, 3.0) + 0.5 * np.arange(d - k + 1)
+        w = np.concatenate([levels, np.full(k - 1, rng.choice(levels))])
+        s = rng.normal(size=(d, d))
+        h = s @ np.diag(w) @ np.linalg.inv(s)
+        yield h, np.eye(d)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        u = q @ q.T
+        yield u @ h @ u.conj().T, u @ u.T
+
+
 def test_check_exactness_degenerate_eigenspace():
     # H = 2*I with PT = sigma_3 . conjugation: every vector is an eigenvector,
     # and the fixed combinations span the space over the reals
@@ -195,3 +215,17 @@ def test_check_exactness_degenerate_eigenspace():
         npt.assert_allclose(pt_linear @ np.conj(fixed[:, k]), fixed[:, k], atol=1e-10)
         npt.assert_allclose(np.linalg.norm(fixed[:, k]), 1.0, atol=1e-12)
     assert abs(np.linalg.det(fixed)) > 0.5  # genuinely independent columns
+
+    for h, tau in _degenerate_hamiltonians(np.random.default_rng(41), 20):
+        d = h.shape[0]
+        report = check_exactness(h, np.eye(d), AntilinearOperator(tau))
+        assert report.exact
+        fixed = report.fixed_eigenvectors
+        assert np.abs(tau @ np.conj(fixed) - fixed).max() <= 1e-9
+        npt.assert_allclose(np.linalg.norm(fixed, axis=0), 1.0, atol=1e-12)
+        rayleigh = np.einsum("ij,ij->j", fixed.conj(), h @ fixed)
+        eig_residual = np.linalg.norm(h @ fixed - fixed * rayleigh, axis=0).max()
+        assert eig_residual <= 1e-9 * np.linalg.norm(h)
+        # independent columns: fixed passes the package's own diagonalizability gate
+        assert np.linalg.cond(fixed) < EIGVEC_CONDITION_LIMIT
+

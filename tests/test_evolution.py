@@ -1,5 +1,6 @@
 """Propagation, norm trajectories, and growth-rate fitting."""
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -249,6 +250,18 @@ ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +-i: norms grow li
 def test_non_finite_states_are_refused(call):
     with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
         call()
+
+
+def test_non_finite_refusals_come_without_numpy_warnings():
+    # warnings are errors here: the refusal must come first and name its cause
+    defective = np.array([[1j, 1.0], [0.0, 1j]])  # dense path, norms grow like e^t
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=r"\[t0, t1\] = \[0.0, inf\]"):
+            EvolutionSpec(ROTATION, [1.0, 0.0], t1=np.inf, steps=4)
+        for h in (ROTATION, defective):
+            with pytest.raises(NonFiniteError, match="not finite at t = 750.0"):
+                norm_trajectory(EvolutionSpec(h, [1.0, 0.0], t1=1000.0, steps=4))
 
 
 def test_weight_dimension_mismatch():

@@ -1,8 +1,7 @@
-"""``import pht``, the CLI and evolution on diagonalizable input never load scipy.
+"""``import pht``, the CLI, exactness and evolution on diagonalizable input never load scipy.
 
 scipy serves only the dense exponential (near-defective evolution and
-``matrix_exp``) and the pivoted QR of degenerate-cluster exactness, so it is
-imported on first use.
+``matrix_exp``), so it is imported on first use.
 Each check runs in a fresh interpreter, where ``sys.modules`` shows exactly
 what the package pulled in.
 """
@@ -38,11 +37,14 @@ def _write(tmp_path, name, document):
     return str(path)
 
 
-# Library evolution: prints whether scipy is loaded after each call.
+# Library exactness and evolution: prints whether scipy is loaded after each call.
 LIBRARY_SCRIPT = """
 import json, sys
 import numpy as np
-from pht import EvolutionSpec, evolve, norm_trajectory, symmetric_hamiltonian, SymmetricFamilyParams
+from pht import (AntilinearOperator, EvolutionSpec, check_exactness, evolve, norm_trajectory,
+                 symmetric_hamiltonian, SymmetricFamilyParams)
+assert check_exactness(np.diag([1.0, 1.0, 2.0]), np.eye(3), AntilinearOperator(np.eye(3))).exact
+print(json.dumps(["check_exactness degenerate", 0, "scipy" in sys.modules]))
 h = symmetric_hamiltonian(SymmetricFamilyParams(0.0, 1.0, 2.0, 0.0))
 spec = EvolutionSpec(h, np.array([1.0, 0.0]), t1=3.0, steps=50)
 evolve(spec, 1.5)
@@ -72,6 +74,7 @@ def test_cli_on_diagonalizable_input_never_loads_scipy(tmp_path):
     generic = s @ np.diag([1.0, 2.0, 3.0]) @ np.linalg.inv(s)
     h = _write(tmp_path, "h.json", matrix_document(family))
     g = _write(tmp_path, "g.json", matrix_document(generic))
+    degenerate = _write(tmp_path, "d.json", matrix_document(np.diag([1.0, 1.0, 2.0])))
     p = _write(tmp_path, "p.json", matrix_document(np.diag([1.0, -1.0])))
     psi = _write(tmp_path, "psi.json", state_document(np.array([1.0, 0.0])))
     argvs = [
@@ -82,6 +85,7 @@ def test_cli_on_diagonalizable_input_never_loads_scipy(tmp_path):
         ["hermitize", h],
         ["hermitize", g],
         ["check-pt", h, "--parity", p],
+        ["check-pt", degenerate],
         ["family", "symmetric", "--s", "1", "--t", "2", "--phi", "0.4"],
         ["family", "general", "--s", "1", "--t", "2", "--u", "0.5", "--phi", "0.4"],
         ["family", "general-t", "--s", "1", "--t", "2", "--u", "0.5", "--xi", "1.2", "--zeta", "0.3"],
@@ -97,17 +101,15 @@ def test_cli_on_diagonalizable_input_never_loads_scipy(tmp_path):
 
 def test_library_evolution_on_diagonalizable_input_never_loads_scipy():
     results = _run_script([], LIBRARY_SCRIPT)
-    assert len(results) == 3
+    assert len(results) == 4
     for step, _, loaded in results:
         assert not loaded, f"scipy loaded by {step}"
 
 
 def test_lazy_paths_still_load_scipy(tmp_path):
-    # the two paths that need scipy reach it on demand; this also shows that
-    # the check above would see an import
+    # the one path that needs scipy reaches it on demand; this also shows that
+    # the checks above would see an import
     jordan = _write(tmp_path, "j.json", matrix_document(np.array([[0.0, 1.0], [0.0, 0.0]])))
-    degenerate = _write(tmp_path, "d.json", matrix_document(np.diag([1.0, 1.0, 2.0])))
     psi = _write(tmp_path, "psi.json", state_document(np.array([0.0, 1.0])))
-    for argv in (["evolve", jordan, "--state", psi, "--steps", "5"], ["check-pt", degenerate]):
-        (_, _, before), (step, rc, after) = _run_script([argv])
-        assert not before and rc == 0 and after, step
+    (_, _, before), (step, rc, after) = _run_script([["evolve", jordan, "--state", psi, "--steps", "5"]])
+    assert not before and rc == 0 and after, step
