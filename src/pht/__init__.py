@@ -87,6 +87,5 @@ from .metric import (
     map_observable,
     metric_from_hamiltonian,
     verify_pseudo_hermiticity,
-    verify_rho_unitarity,
 )
 

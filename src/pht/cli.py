@@ -26,12 +26,8 @@ from .antilinear import (
     unitary_sqrt_of_tau,
 )
 from .errors import (
-    ComplexSpectrumError,
     DimensionMismatchError,
-    NoPositiveMetricError,
     NonFiniteError,
-    NotDiagonalizableError,
-    NotPositiveDefiniteError,
     PHTError,
 )
 from .evolution import EvolutionSpec, norm_trajectory
@@ -47,11 +43,12 @@ from .families import (
 from .linalg import (
     REALITY_RTOL,
     SpectrumClass,
-    biorthonormalize,
+    _biorthonormal,
     eigendecompose,
 )
 from .metric import (
     InnerProductKind,
+    _positive_metric,
     build_charge_conjugation,
     build_eta_plus,
     build_generalized_parity,
@@ -174,13 +171,14 @@ def _canonical_system(matrix: np.ndarray, reality_rtol: float):
     Complex symmetric input with nondegenerate real spectrum gets the
     transpose normalization, under which the emitted metric bundle matches
     the closed-form two-level operators; anything else uses the default
-    unit-norm convention.
+    unit-norm convention.  Both attempts share one decomposition.
     """
+    spectral = eigendecompose(matrix, reality_rtol)
     try:
-        return biorthonormalize(matrix, normalization="transpose", reality_rtol=reality_rtol)
+        return _biorthonormal(matrix, spectral, "transpose", reality_rtol)
     except ValueError:
         # not complex symmetric, degenerate or self-orthogonal
-        return biorthonormalize(matrix, normalization="unit", reality_rtol=reality_rtol)
+        return _biorthonormal(matrix, spectral, "unit", reality_rtol)
 
 
 def _pt_verdict(args, h: np.ndarray, spectral=None):
@@ -303,13 +301,7 @@ def cmd_evolve(args) -> int:
     if args.norm == "metric":
         # Use the same canonical normalization as `metric`/`hermitize` so the
         # conserved value matches the closed-form bundle for family inputs.
-        try:
-            system = _canonical_system(h, _reality_rtol(args))
-            metric = build_eta_plus(system)
-        except (ComplexSpectrumError, NotDiagonalizableError, NotPositiveDefiniteError) as exc:
-            raise NoPositiveMetricError(
-                "no positive-definite metric exists for this Hamiltonian"
-            ) from exc
+        metric = _positive_metric(_canonical_system, h, _reality_rtol(args))
         kind = InnerProductKind.metric_eta(metric)
     trajectory = norm_trajectory(spec, kind=kind)
     out = sys.stdout

@@ -12,22 +12,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ComplexSpectrumError,
     DimensionMismatchError,
     NonFiniteError,
-    NoPositiveMetricError,
-    NotDiagonalizableError,
-    NotPositiveDefiniteError,
     OutOfRangeError,
 )
 from .linalg import (
+    REALITY_RTOL,
+    SpectralData,
     SpectrumClass,
+    _biorthonormal,
     as_square_matrix,
     as_state_vector,
     eigendecompose,
     matrix_exp,
 )
-from .metric import InnerProductKind, metric_from_hamiltonian
+from .metric import InnerProductKind, _positive_metric
 
 # Complex entries per propagated block of the time grid (4 MiB), which bounds
 # the memory of a trajectory whatever its number of steps.
@@ -59,14 +58,15 @@ class EvolutionSpec:
         object.__setattr__(self, "initial_state", psi)
 
 
-def _propagate(spec: EvolutionSpec, times: np.ndarray):
+def _propagate(spec: EvolutionSpec, times: np.ndarray, spectral: SpectralData):
     """Yield the states ``psi(t)`` for ``times`` as consecutive ``(d, k)`` blocks.
 
     Column ``j`` of the blocks, taken in order, is ``psi(times[j])``.  Each
     block holds at most ``_BLOCK_ENTRIES`` complex entries, so memory grows
-    with the block and not with the number of samples.  A diagonalizable
-    ``H = V diag(w) V^{-1}`` is decomposed once for all times and propagated
-    as ``V exp(-i w (t - t0)) V^{-1} psi0``, exact up to ``cond(V) eps``;
+    with the block and not with the number of samples.  ``spectral`` is the
+    caller's decomposition of ``spec.hamiltonian``.  A diagonalizable
+    ``H = V diag(w) V^{-1}`` is propagated for all times as
+    ``V exp(-i w (t - t0)) V^{-1} psi0``, exact up to ``cond(V) eps``;
     a near-defective one falls back to a dense matrix exponential per time.
 
     Raises
@@ -76,7 +76,6 @@ def _propagate(spec: EvolutionSpec, times: np.ndarray):
         time, or growth past double precision in the broken regime.
     """
     h, psi0 = spec.hamiltonian, spec.initial_state
-    spectral = eigendecompose(h)
     spectral_path = spectral.classification is not SpectrumClass.NEAR_DEFECTIVE
     if spectral_path:
         coeff = np.linalg.solve(spectral.eigenvectors, psi0)[:, None]
@@ -112,7 +111,8 @@ def evolve(spec: EvolutionSpec, time: float) -> np.ndarray:
     """
     if time < spec.t0 or time > spec.t1:
         raise OutOfRangeError(f"time {time} outside window [{spec.t0}, {spec.t1}]")
-    return next(_propagate(spec, np.array([time], dtype=float)))[:, 0]
+    times = np.array([time], dtype=float)
+    return next(_propagate(spec, times, eigendecompose(spec.hamiltonian)))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -140,28 +140,25 @@ def norm_trajectory(spec: EvolutionSpec, kind="euclidean") -> NormTrajectory:
         If ``"metric"`` is requested for a Hamiltonian in the broken regime
         (complex spectrum or near-defective): no positive metric exists.
     """
+    h, d = spec.hamiltonian, spec.initial_state.shape[0]
     if isinstance(kind, InnerProductKind):
-        ip = kind
-    elif kind == "euclidean":
+        if kind.weight is not None and kind.weight.shape[0] != d:
+            raise DimensionMismatchError(f"weight dim {kind.weight.shape[0]} != state dim {d}")
+    elif kind not in ("euclidean", "metric"):
+        raise ValueError(f"unknown norm kind {kind!r}")
+    # One decomposition serves the metric and the propagation.
+    spectral = eigendecompose(h)
+    if kind == "euclidean":
         ip = InnerProductKind.euclidean()
     elif kind == "metric":
-        try:
-            metric = metric_from_hamiltonian(spec.hamiltonian)
-        except (ComplexSpectrumError, NotDiagonalizableError, NotPositiveDefiniteError) as exc:
-            raise NoPositiveMetricError(
-                "no positive-definite metric exists for this Hamiltonian"
-            ) from exc
+        metric = _positive_metric(_biorthonormal, h, spectral, "unit", REALITY_RTOL)
         ip = InnerProductKind.metric_eta(metric)
     else:
-        raise ValueError(f"unknown norm kind {kind!r}")
-
-    d = spec.initial_state.shape[0]
-    if ip.weight is not None and ip.weight.shape[0] != d:
-        raise DimensionMismatchError(f"weight dim {ip.weight.shape[0]} != state dim {d}")
+        ip = kind
 
     times = np.linspace(spec.t0, spec.t1, spec.steps + 1)
     norms = []
-    for psi in _propagate(spec, times):
+    for psi in _propagate(spec, times, spectral):
         weighted = psi if ip.weight is None else ip.weight @ psi
         norms.append(np.sqrt(np.abs(np.einsum("ij,ij->j", psi.conj(), weighted).real)))
     return NormTrajectory(times, np.concatenate(norms), ip.label)

@@ -63,7 +63,7 @@ def as_square_matrix(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise NonFiniteError("matrix contains non-finite entries")
     return m
 
@@ -73,7 +73,7 @@ def as_state_vector(state) -> np.ndarray:
     v = np.asarray(state, dtype=complex)
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+    if not np.isfinite(v).all():
         raise NonFiniteError("state vector contains non-finite entries")
     return v
 
@@ -199,15 +199,29 @@ def biorthonormalize(
     ComplexSpectrumError
         If the spectrum is not real to within ``reality_rtol``.
     ValueError
-        If ``"transpose"`` meets a matrix that is not complex symmetric
-        (tested before the eigendecomposition), a degenerate spectrum or a
-        self-orthogonal eigenvector.
+        If ``normalization`` names neither convention (checked before any
+        other work), or if ``"transpose"`` meets a matrix that is not complex
+        symmetric (checked before the spectral gates), a degenerate spectrum
+        or a self-orthogonal eigenvector.
     """
+    if normalization not in ("unit", "transpose"):
+        raise ValueError(f"unknown normalization {normalization!r}")
     m = as_square_matrix(matrix)
+    return _biorthonormal(m, eigendecompose(m, reality_rtol), normalization, reality_rtol)
+
+
+def _biorthonormal(
+    m: np.ndarray, spectral: SpectralData, normalization: str, reality_rtol: float
+) -> BiorthonormalSystem:
+    """:func:`biorthonormalize` of the validated ``m`` from its decomposition ``spectral``.
+
+    ``normalization`` must be ``"unit"`` or ``"transpose"``, and ``spectral``
+    must come from ``eigendecompose(m, reality_rtol)``.  Callers that try both
+    conventions pass one decomposition to each attempt.
+    """
     scale = float(np.linalg.norm(m))
     if normalization == "transpose" and np.linalg.norm(m - m.T) > 1e-10 * (1.0 + scale):
         raise ValueError("transpose normalization requires a complex symmetric matrix")
-    spectral = eigendecompose(m, reality_rtol)
     if spectral.classification is SpectrumClass.NEAR_DEFECTIVE:
         raise NotDiagonalizableError(
             f"eigenvector condition number {spectral.eigvec_condition:.3e} "
@@ -239,21 +253,18 @@ def biorthonormalize(
         phi = np.linalg.inv(v).conj().T
         return BiorthonormalSystem(w, v, phi)
 
-    if normalization == "transpose":
-        if any(len(c) > 1 for c in clusters):
-            raise ValueError("transpose normalization requires a nondegenerate spectrum")
-        psis = np.empty_like(v)
-        phis = np.empty_like(v)
-        for k in range(v.shape[1]):
-            sign = 1.0 if k % 2 == 0 else -1.0
-            c = v[:, k] @ v[:, k]
-            if abs(c) < 1e-12:
-                raise ValueError("self-orthogonal eigenvector; transpose normalization undefined")
-            psis[:, k] = np.sqrt(sign / c + 0j) * v[:, k]
-            phis[:, k] = sign * np.conj(psis[:, k])
-        return BiorthonormalSystem(w, psis, phis)
-
-    raise ValueError(f"unknown normalization {normalization!r}")
+    if any(len(c) > 1 for c in clusters):
+        raise ValueError("transpose normalization requires a nondegenerate spectrum")
+    psis = np.empty_like(v)
+    phis = np.empty_like(v)
+    for k in range(v.shape[1]):
+        sign = 1.0 if k % 2 == 0 else -1.0
+        c = v[:, k] @ v[:, k]
+        if abs(c) < 1e-12:
+            raise ValueError("self-orthogonal eigenvector; transpose normalization undefined")
+        psis[:, k] = np.sqrt(sign / c + 0j) * v[:, k]
+        phis[:, k] = sign * np.conj(psis[:, k])
+    return BiorthonormalSystem(w, psis, phis)
 
 
 def matrix_exp(matrix) -> np.ndarray:

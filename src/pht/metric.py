@@ -17,7 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ComplexSpectrumError,
     DimensionMismatchError,
+    NoPositiveMetricError,
+    NotDiagonalizableError,
     NotHermitianError,
     NotPositiveDefiniteError,
     NotPseudoHermitianError,
@@ -95,6 +98,21 @@ def build_eta_plus(system: BiorthonormalSystem) -> MetricOperator:
     rho = (v * roots) @ v.conj().T
     rho_inv = (v * (1.0 / roots)) @ v.conj().T
     return MetricOperator(eta, rho, rho_inv)
+
+
+def _positive_metric(build_system, *args) -> MetricOperator:
+    """``build_eta_plus(build_system(*args))``, or :class:`NoPositiveMetricError`.
+
+    ``build_system`` returns a biorthonormal system.  A complex spectrum, a
+    near-defective eigenbasis or an indefinite ``eta_plus`` each mean that no
+    positive metric exists, and each is re-raised as that one error.
+    """
+    try:
+        return build_eta_plus(build_system(*args))
+    except (ComplexSpectrumError, NotDiagonalizableError, NotPositiveDefiniteError) as exc:
+        raise NoPositiveMetricError(
+            "no positive-definite metric exists for this Hamiltonian"
+        ) from exc
 
 
 def build_generalized_parity(system: BiorthonormalSystem) -> np.ndarray:
@@ -217,27 +235,6 @@ def inner_product(psi, phi, kind: InnerProductKind | None = None) -> complex:
             f"weight dim {kind.weight.shape[0]} != state dim {u.shape[0]}"
         )
     return complex(u.conj() @ kind.weight @ v)
-
-
-def verify_rho_unitarity(metric: MetricOperator, trials: int = 100, seed: int = 0) -> float:
-    """Check that ``rho_plus^{-1}`` maps Euclidean to metric geometry.
-
-    Draws ``trials`` random pairs and returns the largest deviation
-    ``|<rho^{-1} psi, eta rho^{-1} phi> - <psi, phi>|`` over unit-norm draws.
-    """
-    rng = np.random.default_rng(seed)
-    d = metric.dim
-    kind = InnerProductKind.metric_eta(metric)
-    worst = 0.0
-    for _ in range(trials):
-        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-        phi = rng.normal(size=d) + 1j * rng.normal(size=d)
-        psi /= np.linalg.norm(psi)
-        phi /= np.linalg.norm(phi)
-        lhs = inner_product(metric.rho_plus_inv @ psi, metric.rho_plus_inv @ phi, kind)
-        rhs = inner_product(psi, phi)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
 
 
 def metric_from_hamiltonian(

@@ -1,5 +1,20 @@
-"""Shared helpers: random diagonalizable matrices with real spectra."""
+"""Shared helpers: random diagonalizable matrices with real spectra, and an eig counter."""
 import numpy as np
+import pytest
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """List that gains one entry per ``np.linalg.eig`` call made during the test."""
+    calls = []
+    eig = np.linalg.eig
+
+    def counting_eig(*args, **kwargs):
+        calls.append(1)
+        return eig(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    return calls
 
 
 def random_similarity(rng, dim, spread=5.0):

@@ -141,12 +141,17 @@ def test_metric_family_golden(tmp_path, capsys):
     )
 
 
-def test_metric_hermitian_input_gives_identity(tmp_path, capsys):
-    path = write_matrix(tmp_path, "h.json", np.diag([3.0, 1.0]))
-    rc, out, _ = run(capsys, ["metric", path])
-    assert rc == EXIT_OK
-    eta = parse_matrix_document(json.loads(out)["eta_plus"])
-    npt.assert_allclose(eta, np.eye(2), atol=1e-12)
+def test_metric_hermitian_input_gives_identity(tmp_path, capsys, eig_calls):
+    # diag(1, 1, 2) is complex symmetric and degenerate: the transpose attempt
+    # fails and the unit fallback reuses its decomposition
+    for h in (np.diag([3.0, 1.0]), np.diag([1.0, 1.0, 2.0])):
+        path = write_matrix(tmp_path, "h.json", h)
+        eig_calls.clear()
+        rc, out, _ = run(capsys, ["metric", path])
+        assert rc == EXIT_OK
+        eta = parse_matrix_document(json.loads(out)["eta_plus"])
+        npt.assert_allclose(eta, np.eye(h.shape[0]), atol=1e-12)
+        assert len(eig_calls) == 1
 
 
 def test_metric_broken_input_exits_3(tmp_path, capsys):
@@ -180,11 +185,14 @@ def test_json_documents_round_trip_exactly(tmp_path, capsys):
         assert np.array_equal(m, again)
 
 
-def test_hermitize_hermitian_input_is_fixed_point(tmp_path, capsys):
-    h = np.array([[1.0, 0.5], [0.5, -2.0]])
-    rc, out, _ = run(capsys, ["hermitize", write_matrix(tmp_path, "h.json", h)])
-    assert rc == EXIT_OK
-    npt.assert_allclose(parse_matrix_document(json.loads(out)), h, atol=1e-12)
+def test_hermitize_hermitian_input_is_fixed_point(tmp_path, capsys, eig_calls):
+    for h in (np.array([[1.0, 0.5], [0.5, -2.0]]), np.diag([1.0, 1.0, 2.0])):
+        path = write_matrix(tmp_path, "h.json", h)
+        eig_calls.clear()
+        rc, out, _ = run(capsys, ["hermitize", path])
+        assert rc == EXIT_OK
+        npt.assert_allclose(parse_matrix_document(json.loads(out)), h, atol=1e-12)
+        assert len(eig_calls) == 1
 
 
 def test_hermitize_family_golden(tmp_path, capsys):

@@ -87,12 +87,16 @@ def test_trajectory_grid_and_spectral_path():
     npt.assert_allclose(traj.norms, np.ones(5), atol=ATOL)
 
 
-def test_metric_norm_is_conserved_euclidean_is_not():
+def test_metric_norm_is_conserved_euclidean_is_not(eig_calls):
     h = symmetric_hamiltonian(FAMILY_POINT)
     psi0 = np.array([0.3 + 0.1j, -0.8])
     spec = EvolutionSpec(h, psi0, t0=0.0, t1=10.0, steps=400)
     metric_traj = norm_trajectory(spec, kind="metric")
     assert metric_traj.kind == "metric-eta"
+    # one decomposition builds the metric and propagates, bit for bit as two would
+    assert len(eig_calls) == 1
+    explicit = norm_trajectory(spec, kind=InnerProductKind.metric_eta(metric_from_hamiltonian(h)))
+    assert np.array_equal(metric_traj.norms, explicit.norms)
     drift = metric_traj.norms.max() / metric_traj.norms.min() - 1.0
     assert drift < 1e-10
     euclid = norm_trajectory(spec, kind="euclidean")
@@ -133,10 +137,11 @@ def test_metric_kind_rejects_broken_hamiltonian():
         norm_trajectory(spec, kind="metric")
 
 
-def test_unknown_kind_rejected():
+def test_unknown_kind_rejected(eig_calls):
     spec = EvolutionSpec(np.eye(2), np.ones(2))
     with pytest.raises(ValueError):
         norm_trajectory(spec, kind="manhattan")
+    assert eig_calls == []
 
 
 def test_near_defective_falls_back_to_dense_exponential():

@@ -39,6 +39,8 @@ def test_as_square_matrix_validates():
         as_square_matrix([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(NonFiniteError):
         as_square_matrix([[1j * np.inf, 0.0], [0.0, 1.0]])
+    with pytest.raises(NonFiniteError):
+        as_square_matrix([[complex(0.0, np.inf), 0.0], [0.0, 1.0]])
     m = as_square_matrix([[1, 2], [3, 4]])
     assert m.dtype == complex
 
@@ -48,6 +50,8 @@ def test_as_state_vector_validates():
         as_state_vector([[1.0, 2.0]])
     with pytest.raises(NonFiniteError):
         as_state_vector([1.0, np.inf])
+    with pytest.raises(NonFiniteError):
+        as_state_vector([1.0, complex(0.0, np.inf)])
     assert as_state_vector([1, 1j]).dtype == complex
 
 
@@ -129,9 +133,13 @@ def test_biorthonormalize_rejects_near_defective():
         biorthonormalize(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-def test_biorthonormalize_rejects_unknown_normalization():
+def test_biorthonormalize_rejects_unknown_normalization(eig_calls):
     with pytest.raises(ValueError):
         biorthonormalize(np.eye(2), normalization="fancy")
+    # the name is checked before the decomposition and its spectrum gates
+    with pytest.raises(ValueError, match="unknown normalization 'foo'"):
+        biorthonormalize(np.array([[0.0, 1.0], [-1.0, 0.0]]), normalization="foo")
+    assert eig_calls == []
 
 
 def test_transpose_normalization_properties():
