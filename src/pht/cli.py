@@ -2,9 +2,12 @@
 
 Matrices travel as JSON documents ``{"dim": D, "entries": [[[re, im], ...], ...]}``
 and state vectors as ``{"dim": D, "entries": [[re, im], ...]}``.  Reports are
-JSON on stdout (floats at full double precision, 17 significant digits);
-``evolve`` emits CSV.  Exit codes: 0 success, 2 malformed input (non-finite
-flags included), 3 any other failure raised by the package.
+JSON on stdout, byte for byte what ``json.dumps(report, indent=2)`` prints
+followed by a newline: each float is its ``float.__repr__``, the shortest
+string that reads back as the same double, so ``0.1`` prints as ``0.1``.  The
+output bytes are the contract.  ``evolve`` emits CSV.  Exit codes: 0 success,
+2 malformed input (non-finite flags and entries too large for a double
+included), 3 any other failure raised by the package.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from .errors import (
     NonFiniteError,
     PHTError,
 )
-from .evolution import EvolutionSpec, norm_trajectory
+from .evolution import EvolutionSpec, _norm_trajectory
 from .families import (
     GeneralFamilyParams,
     SymmetricFamilyParams,
@@ -74,7 +77,10 @@ def _entry_pair(value) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
     ):
         raise CliInputError(f"expected an [re, im] pair, got {value!r}")
-    z = complex(value[0], value[1])
+    try:
+        z = complex(value[0], value[1])
+    except OverflowError as exc:
+        raise CliInputError(f"entry {value!r} overflows double precision") from exc
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         raise CliInputError("non-finite entry in document")
     return z
@@ -93,38 +99,73 @@ def _document_entries(obj, name: str, items: str) -> list:
     return entries
 
 
+def _float_entries(entries: list, shape: tuple) -> np.ndarray | None:
+    """``entries`` as one float array of ``shape``, or None if any entry is malformed.
+
+    One vectorized pass checks the nesting, the entry types (numbers but not
+    booleans), the conversion to double and finiteness.  None sends the caller
+    to its per-entry walk, which names the first bad entry.
+    """
+    try:
+        values = np.array(entries, dtype=object)
+    except (ValueError, TypeError):
+        return None
+    if values.shape != shape:
+        return None
+    types = set(map(type, values.flat))
+    if not all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in types):
+        return None
+    try:
+        values = values.astype(float)
+    except OverflowError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
 def parse_matrix_document(obj) -> np.ndarray:
-    """Parse ``{"dim": D, "entries": [[[re, im], ...] x D] x D}``."""
+    """Parse ``{"dim": D, "entries": [[[re, im], ...] x D] x D}`` as ``json.load`` returns it."""
     entries = _document_entries(obj, "matrix", "rows")
     dim = len(entries)
-    out = np.empty((dim, dim), dtype=complex)
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != dim:
-            raise CliInputError(f"row {i} must hold {dim} [re, im] pairs")
-        for j, pair in enumerate(row):
-            out[i, j] = _entry_pair(pair)
-    return out
+    values = _float_entries(entries, (dim, dim, 2))
+    if values is None:
+        for i, row in enumerate(entries):
+            if not isinstance(row, list) or len(row) != dim:
+                raise CliInputError(f"row {i} must hold {dim} [re, im] pairs")
+            for pair in row:
+                _entry_pair(pair)
+        raise AssertionError("the per-entry walk accepted what the array checks refused")
+    return values.view(complex)[..., 0]
 
 
 def parse_state_document(obj) -> np.ndarray:
-    """Parse ``{"dim": D, "entries": [[re, im] x D]}``."""
+    """Parse ``{"dim": D, "entries": [[re, im] x D]}`` as ``json.load`` returns it."""
     entries = _document_entries(obj, "state", "pairs")
-    return np.array([_entry_pair(pair) for pair in entries])
+    values = _float_entries(entries, (len(entries), 2))
+    if values is None:
+        for pair in entries:
+            _entry_pair(pair)
+        raise AssertionError("the per-entry walk accepted what the array checks refused")
+    return values.view(complex)[..., 0]
+
+
+class _MatrixDocument(dict):
+    """The dict :func:`matrix_document` returns.
+
+    Its type, not its key set (a state document has the same keys), tells
+    :func:`_emit` that ``entries`` is a ``D x D`` grid of float pairs.
+    """
 
 
 def matrix_document(matrix: np.ndarray) -> dict:
     m = np.asarray(matrix, dtype=complex)
     if not np.isfinite(m).all():
         raise CliInputError("result is not finite: the input overflows double precision")
-    return {
-        "dim": m.shape[0],
-        "entries": [[[z.real, z.imag] for z in row] for row in m],
-    }
+    return _MatrixDocument(dim=m.shape[0], entries=np.stack([m.real, m.imag], -1).tolist())
 
 
 def state_document(state: np.ndarray) -> dict:
     v = np.asarray(state, dtype=complex)
-    return {"dim": v.shape[0], "entries": [[z.real, z.imag] for z in v]}
+    return {"dim": v.shape[0], "entries": np.stack([v.real, v.imag], -1).tolist()}
 
 
 def _finite_float(text: str) -> float:
@@ -141,7 +182,8 @@ def _load_document(path: str):
             return json.load(fh)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer past the interpreter's digit limit
         raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -149,8 +191,59 @@ def _load_matrix(path: str) -> np.ndarray:
     return parse_matrix_document(_load_document(path))
 
 
+# Stands in for each matrix's entries while ``json.dumps`` indents the rest of
+# a report; no report string holds a NUL.
+_ENTRIES_PLACEHOLDER = "\x00entries\x00"
+_ENTRIES_TOKEN = json.dumps(_ENTRIES_PLACEHOLDER)
+
+
+def _skeleton(obj, level: int, matrices: list):
+    """``obj`` with each matrix document's entries swapped for the placeholder.
+
+    ``level`` is the nesting depth of ``obj``'s keys.  Appends one
+    ``(entries, level)`` per matrix document to ``matrices``, in output order.
+    """
+    if isinstance(obj, _MatrixDocument):
+        matrices.append((obj["entries"], level))
+        return {**obj, "entries": _ENTRIES_PLACEHOLDER}
+    if isinstance(obj, dict):
+        return {key: _skeleton(value, level + 1, matrices) for key, value in obj.items()}
+    return obj
+
+
+def _indented_entries(entries: list, level: int) -> str:
+    """``json.dumps(entries, indent=2)`` for matrix entries under keys at depth ``level``.
+
+    ``json`` runs its C encoder only without ``indent``.  That encoder prints
+    each float with ``float.__repr__``, as the indenting one does, and here
+    it puts between all items the separator that indented output puts between
+    the two numbers of a pair.  Re-indenting the pair and row boundaries then
+    gives the indented text byte for byte: a float's repr holds no bracket,
+    comma or whitespace.
+    """
+    row, pair, number, close = ("\n" + " " * (2 * (level + k)) for k in (1, 2, 3, 0))
+    sep = "," + number
+    text = json.dumps(entries, separators=(sep, ":"))
+    text = text.replace("]]" + sep + "[[", f"{pair}]{row}],{row}[{pair}[{number}")
+    text = text.replace("]" + sep + "[", f"{pair}],{pair}[{number}")
+    return f"[{row}[{pair}[{number}{text[3:-3]}{pair}]{row}]{close}]"
+
+
 def _emit(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    """Write ``json.dumps(report, indent=2)`` and a newline to stdout.
+
+    The bytes are those of the one call, but each matrix document's entries
+    are rendered by :func:`_indented_entries` and written as a piece of their
+    own, so the report is never one string.
+    """
+    matrices: list = []
+    skeleton = json.dumps(_skeleton(report, 1, matrices), indent=2)
+    pieces = skeleton.split(_ENTRIES_TOKEN)
+    out = sys.stdout
+    for piece, (entries, level) in zip(pieces, matrices):
+        out.write(piece)
+        out.write(_indented_entries(entries, level))
+    out.write(pieces[-1] + "\n")
 
 
 def _reality_rtol(args) -> float:
@@ -165,15 +258,18 @@ def _reality_rtol(args) -> float:
     return REALITY_RTOL
 
 
-def _canonical_system(matrix: np.ndarray, reality_rtol: float):
+def _canonical_system(matrix: np.ndarray, reality_rtol: float, spectral=None):
     """Biorthonormalize with the transpose convention when it applies.
 
     Complex symmetric input with nondegenerate real spectrum gets the
     transpose normalization, under which the emitted metric bundle matches
     the closed-form two-level operators; anything else uses the default
-    unit-norm convention.  Both attempts share one decomposition.
+    unit-norm convention.  Both attempts share one decomposition:
+    ``spectral`` when the caller already has ``eigendecompose(matrix,
+    reality_rtol)``.
     """
-    spectral = eigendecompose(matrix, reality_rtol)
+    if spectral is None:
+        spectral = eigendecompose(matrix, reality_rtol)
     try:
         return _biorthonormal(matrix, spectral, "transpose", reality_rtol)
     except ValueError:
@@ -297,13 +393,18 @@ def cmd_evolve(args) -> int:
         spec = EvolutionSpec(h, psi0, t0=args.t0, t1=args.t1, steps=args.steps)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    kind = args.norm
+    # One decomposition serves the metric and the propagation.  The propagator
+    # reads no reality verdict, so the Euclidean norm consults no tolerance.
     if args.norm == "metric":
+        rtol = _reality_rtol(args)
+        spectral = eigendecompose(h, rtol)
         # Use the same canonical normalization as `metric`/`hermitize` so the
         # conserved value matches the closed-form bundle for family inputs.
-        metric = _positive_metric(_canonical_system, h, _reality_rtol(args))
-        kind = InnerProductKind.metric_eta(metric)
-    trajectory = norm_trajectory(spec, kind=kind)
+        ip = InnerProductKind.metric_eta(_positive_metric(_canonical_system, h, rtol, spectral))
+    else:
+        spectral = eigendecompose(h)
+        ip = InnerProductKind.euclidean()
+    trajectory = _norm_trajectory(spec, ip, spectral)
     out = sys.stdout
     out.write("t,norm\n")
     for t, n in zip(trajectory.times, trajectory.norms):

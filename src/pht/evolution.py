@@ -155,7 +155,16 @@ def norm_trajectory(spec: EvolutionSpec, kind="euclidean") -> NormTrajectory:
         ip = InnerProductKind.metric_eta(metric)
     else:
         ip = kind
+    return _norm_trajectory(spec, ip, spectral)
 
+
+def _norm_trajectory(spec: EvolutionSpec, ip: InnerProductKind, spectral: SpectralData) -> NormTrajectory:
+    """:func:`norm_trajectory` under ``ip``, propagated from the caller's ``spectral``.
+
+    ``spectral`` must decompose ``spec.hamiltonian``; its reality tolerance
+    does not matter, because only the near-defective verdict picks the
+    propagator.  ``ip.weight``, if any, must have the state's dimension.
+    """
     times = np.linspace(spec.t0, spec.t1, spec.steps + 1)
     norms = []
     for psi in _propagate(spec, times, spectral):

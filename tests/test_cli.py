@@ -1,14 +1,20 @@
 """End-to-end command tests: documents in, JSON/CSV out, exit codes."""
+import contextlib
+import io
 import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pht.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_SYMMETRY,
+    CliInputError,
+    _emit,
     main,
     matrix_document,
     parse_matrix_document,
@@ -406,6 +412,17 @@ def test_evolve_overflow_exits_2(tmp_path, capsys):
     assert "finite" in err
 
 
+def test_evolve_decomposes_h_once(tmp_path, capsys, eig_calls):
+    # the metric norm and the propagation share one eigendecomposition
+    h_path = write_matrix(tmp_path, "h.json", np.array([[2.0, 1j], [1j, -2.0]]))
+    s_path = write_state(tmp_path, "psi.json", [1.0, 0.0])
+    for norm in ("metric", "euclidean"):
+        eig_calls.clear()
+        rc, out, _ = run(capsys, ["evolve", h_path, "--state", s_path, "--norm", norm])
+        assert rc == EXIT_OK and len(out.splitlines()) == 102
+        assert len(eig_calls) == 1, norm
+
+
 def test_evolve_broken_metric_exits_3(tmp_path, capsys):
     h_path = family_matrix_path(tmp_path, s=2.0, t=1.0)
     s_path = write_state(tmp_path, "psi.json", [1.0, 0.0])
@@ -504,6 +521,76 @@ def test_malformed_matrix_documents_exit_2(tmp_path, capsys, payload):
     assert err.startswith("error:")
 
 
+OVERSIZED_INT = "1" + "0" * 400
+
+# (label, what follows the first good [re, im] pair, stderr of a matrix
+# document, stderr of a state document); the pair is the first of row 0 of a
+# 2x2 matrix and the first pair of a 2-vector.
+MALFORMED_ENTRIES = [
+    ("true", ", [true, 0.0]", "expected an [re, im] pair, got [True, 0.0]", None),
+    ("numeric string", ', ["1.5", 0.0]', "expected an [re, im] pair, got ['1.5', 0.0]", None),
+    ("null", ", [0.0, null]", "expected an [re, im] pair, got [0.0, None]", None),
+    ("object", ', {"re": 1.0, "im": 0.0}', "expected an [re, im] pair, got {'re': 1.0, 'im': 0.0}", None),
+    ("triple", ", [1.0, 0.0, 0.0]", "expected an [re, im] pair, got [1.0, 0.0, 0.0]", None),
+    ("short row", "", "row 0 must hold 2 [re, im] pairs", "entries must be a list of 2 pairs"),
+    ("NaN token", ", [NaN, 0.0]", "non-finite entry in document", None),
+    ("1e400", ", [0.0, 1e400]", "non-finite entry in document", None),
+    (
+        "oversized integer",
+        f", [{OVERSIZED_INT}, 0.0]",
+        f"entry [{OVERSIZED_INT}, 0.0] overflows double precision",
+        None,
+    ),
+]
+
+
+def _malformed_documents(tail):
+    matrix = '{"dim": 2, "entries": [[[1.0, 0.0]%s], [[0.0, 0.0], [1.0, 0.0]]]}' % tail
+    state = '{"dim": 2, "entries": [[1.0, 0.0]%s]}' % tail
+    return matrix, state
+
+
+@pytest.mark.parametrize(
+    "tail, matrix_err, state_err",
+    [row[1:] for row in MALFORMED_ENTRIES],
+    ids=[row[0] for row in MALFORMED_ENTRIES],
+)
+def test_malformed_entries_exit_2_with_the_entry_message(tmp_path, capsys, tail, matrix_err, state_err):
+    matrix, state = _malformed_documents(tail)
+    (tmp_path / "bad_h.json").write_text(matrix)
+    (tmp_path / "bad_psi.json").write_text(state)
+    good_h = write_matrix(tmp_path, "h.json", np.diag([1.0, -1.0]))
+    rc, out, err = run(capsys, ["analyze", str(tmp_path / "bad_h.json")])
+    assert (rc, out, err) == (EXIT_INPUT, "", f"error: {matrix_err}\n")
+    rc, out, err = run(capsys, ["evolve", good_h, "--state", str(tmp_path / "bad_psi.json")])
+    assert (rc, out, err) == (EXIT_INPUT, "", f"error: {state_err or matrix_err}\n")
+
+
+def test_oversized_integer_exits_2_everywhere(tmp_path, capsys):
+    matrix, state = _malformed_documents(f", [0.0, -{OVERSIZED_INT}]")
+    bad = tmp_path / "bad.json"
+    bad.write_text(matrix)
+    (tmp_path / "bad_psi.json").write_text(state)
+    good_h = write_matrix(tmp_path, "h.json", np.diag([1.0, -1.0]))
+    psi = write_state(tmp_path, "psi.json", [1.0, 0.0])
+    expected = f"error: entry [0.0, -{OVERSIZED_INT}] overflows double precision\n"
+    for argv in (
+        ["analyze", str(bad)],
+        ["metric", str(bad)],
+        ["hermitize", str(bad)],
+        ["check-pt", str(bad)],
+        ["evolve", str(bad), "--state", psi],
+        ["analyze", good_h, "--parity", str(bad)],
+        ["check-pt", good_h, "--parity", str(bad)],
+        ["evolve", good_h, "--state", str(tmp_path / "bad_psi.json")],
+    ):
+        assert run(capsys, argv) == (EXIT_INPUT, "", expected), argv
+    # past the interpreter's digit limit json.load itself refuses the integer
+    bad.write_text('{"dim": 1, "entries": [[[%s, 0.0]]]}' % ("1" * 5000))
+    rc, out, err = run(capsys, ["analyze", str(bad)])
+    assert rc == EXIT_INPUT and out == "" and err.startswith("error: ")
+
+
 def test_unreadable_and_invalid_json_exit_2(tmp_path, capsys):
     rc, _, _ = run(capsys, ["analyze", str(tmp_path / "missing.json")])
     assert rc == EXIT_INPUT
@@ -519,6 +606,105 @@ def test_state_document_validation(tmp_path, capsys):
     bad.write_text(json.dumps({"dim": 2, "entries": [[1.0, 0.0]]}))
     rc, _, _ = run(capsys, ["evolve", h_path, "--state", str(bad)])
     assert rc == EXIT_INPUT
+
+
+def emitted(report) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit(report)
+    return buf.getvalue()
+
+
+def test_every_report_is_emitted_as_json_dumps_indent_2(tmp_path, capsys, monkeypatch):
+    reports = []
+
+    def recording_emit(report):
+        reports.append(report)
+        _emit(report)
+
+    monkeypatch.setattr("pht.cli._emit", recording_emit)
+    jordan = write_matrix(tmp_path, "j.json", np.array([[0.0, 0.0], [1.0, 0.0]]))
+    family = family_matrix_path(tmp_path, r=0.3, s=1.0, t=2.0, phi=0.7)
+    one = write_matrix(tmp_path, "one.json", [[2.5]])
+    parity = write_matrix(tmp_path, "p.json", np.diag([1.0, -1.0]))
+    general_t = ["--s", "1", "--t", "2", "--u", "0.3", "--xi", "1.3", "--zeta", "0.4", "--gamma", "0.2"]
+    for argv in (
+        ["analyze", jordan],  # null eigvec_condition
+        ["analyze", family, "--parity", parity],
+        ["check-pt", family, "--parity", parity],
+        ["metric", family],  # four-matrix bundle
+        ["hermitize", family],  # top-level matrix document
+        ["family", "general-t", *general_t],  # u, tau and pt_parity
+        ["family", "symmetric", "--s", "2", "--t", "1", "--allow-broken"],
+        ["analyze", one],
+        ["metric", one],
+        ["hermitize", one],
+    ):
+        reports.clear()
+        rc, out, _ = run(capsys, argv)
+        assert rc == EXIT_OK and len(reports) == 1, argv
+        assert out == json.dumps(reports[0], indent=2) + "\n", argv
+    assert reports[0]["dim"] == 1 and json.loads(out)["entries"] == [[[2.5, 0.0]]]
+
+
+def test_emit_prints_each_float_by_its_repr():
+    re = np.array([[-0.0, 0.1, 5e-324], [1e-7, 1e16, 1.7976931348623157e308], [-1e-7, -5e-324, 0.0]])
+    m = np.empty((3, 3), dtype=complex)
+    m.real, m.imag = re, -re.T
+    state = np.array([0.1, -0.0, 1e16]) - 1j * np.array([5e-324, 1e-7, -0.0])
+    bundle = {
+        "dim": 3,
+        "a": matrix_document(m),
+        "state": state_document(state),
+        # the keys of a matrix document, with a state's entries
+        "vector": {"dim": 3, "entries": state_document(state)["entries"]},
+        "nested": {"b": matrix_document(m.T), "flag": None},
+    }
+    for report in (matrix_document(m), bundle, matrix_document(m[:1, :1])):
+        assert emitted(report) == json.dumps(report, indent=2) + "\n"
+    text = emitted(matrix_document(m))
+    for token in ("-0.0", "0.1", "5e-324", "1e-07", "1e+16", "1.7976931348623157e+308"):
+        assert f" {token}," in text or f" {token}\n" in text, token
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.lists(finite_floats, min_size=2 * d * d, max_size=2 * d * d)))
+def test_emit_matches_json_dumps_on_random_matrices(values):
+    d = int(round(np.sqrt(len(values) // 2)))
+    m = np.array(values, dtype=float).reshape(d, d, 2).view(complex)[..., 0]
+    for report in (matrix_document(m), {"dim": d, "h": matrix_document(m), "t": matrix_document(m.T)}):
+        text = emitted(report)
+        assert text == json.dumps(report, indent=2) + "\n"
+        doc = json.loads(text)
+        parsed = parse_matrix_document(doc if "entries" in doc else doc["h"])
+        assert np.array_equal(parsed.view(float), m.view(float))
+
+
+numbers = st.one_of(finite_floats, st.integers(-(2**1030), 2**1030))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(numbers, min_size=2 * d * d, max_size=2 * d * d)))
+def test_parse_matches_the_per_entry_reference(values):
+    # reference: one complex(re, im) per entry, as the parser once built matrices
+    d = int(round(np.sqrt(len(values) // 2)))
+    pairs = [values[k:k + 2] for k in range(0, len(values), 2)]
+    matrix = {"dim": d, "entries": [pairs[i * d:(i + 1) * d] for i in range(d)]}
+    state = {"dim": d * d, "entries": pairs}
+    try:
+        expected = np.array([complex(*pair) for pair in pairs])
+    except OverflowError:
+        for doc, parse in ((matrix, parse_matrix_document), (state, parse_state_document)):
+            with pytest.raises(CliInputError, match="overflows double precision"):
+                parse(doc)
+        return
+    got = parse_matrix_document(matrix).ravel(), parse_state_document(state)
+    for parsed in got:
+        assert np.array_equal(parsed.view(float), expected.view(float))
+        assert np.array_equal(np.signbit(parsed.view(float)), np.signbit(expected.view(float)))
 
 
 def test_parse_helpers_accept_emitted_documents():
