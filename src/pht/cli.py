@@ -344,7 +344,8 @@ def cmd_hermitize(args) -> int:
     return EXIT_OK
 
 
-def cmd_family(args) -> int:
+def _family_bundle(args):
+    """The family's parameters and its named matrices in the requested frame."""
     if args.kind == "symmetric":
         params = SymmetricFamilyParams(args.r, args.s, args.t, args.phi)
         matrices = {"hamiltonian": symmetric_hamiltonian(params)}
@@ -373,6 +374,14 @@ def cmd_family(args) -> int:
                 m = u @ m @ u.conj().T
             matrices[field.name] = m
     matrices.update(extra)
+    return params, matrices
+
+
+def cmd_family(args) -> int:
+    # Flags near the double-precision limit overflow inside the closed forms;
+    # matrix_document reports that as one error, without numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        params, matrices = _family_bundle(args)
     report = {"kind": args.kind, "broken": not params.is_exact}
     report.update((key, matrix_document(m)) for key, m in matrices.items())
 

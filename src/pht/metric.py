@@ -31,6 +31,7 @@ from .linalg import (
     REALITY_RTOL,
     WEIGHT_RCOND_LIMIT,
     BiorthonormalSystem,
+    _real_if_real,
     _require_nonsingular,
     as_square_matrix,
     as_state_vector,
@@ -87,7 +88,8 @@ def build_eta_plus(system: BiorthonormalSystem) -> MetricOperator:
     phi = system.phi
     eta = phi @ phi.conj().T
     eta = 0.5 * (eta + eta.conj().T)
-    w, v = np.linalg.eigh(eta)
+    w, v = np.linalg.eigh(_real_if_real(eta))
+    v = v.astype(complex, copy=False)
     floor = WEIGHT_RCOND_LIMIT * max(abs(w[-1]), 1e-300)
     if w[0] <= floor:
         raise NotPositiveDefiniteError(
@@ -153,7 +155,7 @@ def verify_pseudo_hermiticity(hamiltonian, weight) -> float:
     hnorm = float(np.linalg.norm(h))
     if hnorm == 0.0:
         return 0.0
-    residual = h.conj().T - w @ h @ np.linalg.inv(w)
+    residual = h.conj().T - w @ h @ np.linalg.inv(_real_if_real(w)).astype(complex, copy=False)
     return float(np.linalg.norm(residual)) / hnorm
 
 

@@ -1,16 +1,16 @@
-"""Shared helpers: random diagonalizable matrices with real spectra, and an eig counter."""
+"""Shared helpers: random diagonalizable matrices with real spectra, and an eig recorder."""
 import numpy as np
 import pytest
 
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """List that gains one entry per ``np.linalg.eig`` call made during the test."""
+    """List that gains the operand's dtype for each ``np.linalg.eig`` call made during the test."""
     calls = []
     eig = np.linalg.eig
 
     def counting_eig(*args, **kwargs):
-        calls.append(1)
+        calls.append(np.asarray(args[0]).dtype)
         return eig(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eig", counting_eig)

@@ -2,6 +2,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -339,12 +343,33 @@ def test_family_rejects_non_finite_flags(capsys, kind, value):
         assert capsys.readouterr().out == ""
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+OVERFLOW_ERROR = "error: result is not finite: the input overflows double precision\n"
+
+
 @pytest.mark.parametrize("kind", ["symmetric", "general", "general-t"])
 def test_family_overflow_exits_2(capsys, kind):
     rc, out, err = run(capsys, ["family", kind, "--r", "1e308", "--t", "1e308"])
     assert rc == EXIT_INPUT and out == ""
-    assert "not finite" in err
+    assert err == OVERFLOW_ERROR
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["symmetric", "--r", "1e308", "--t", "1e308", "--s", "0.5", "--phi", "0.1"],
+        ["general", "--r", "1e308", "--t", "1e308", "--s", "0.5", "--phi", "0.1", "--u", "1e308"],
+    ],
+)
+def test_family_overflow_prints_only_the_error_line(flags):
+    # a fresh interpreter prints numpy's RuntimeWarnings, which pytest would capture
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pht", "family", *flags],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_INPUT, "", OVERFLOW_ERROR)
 
 
 @pytest.mark.parametrize("value", ["nan", "-inf"])

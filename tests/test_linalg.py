@@ -23,6 +23,7 @@ from pht.linalg import (
     eigendecompose,
     matrix_exp,
 )
+from pht.metric import build_eta_plus, hermitize
 
 from conftest import random_similarity
 
@@ -169,6 +170,91 @@ def test_transpose_normalization_rejections():
         biorthonormalize(np.array([[1.0, 2.0], [0.5, -1.0]]), normalization="transpose")
     with pytest.raises(ValueError, match="nondegenerate"):
         biorthonormalize(np.eye(2), normalization="transpose")
+
+
+def _real_similarity(rng, blocks):
+    """``S diag(blocks) S^{-1}`` with a real, mildly conditioned ``S``."""
+    d = sum(b.shape[0] for b in blocks)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    s = q @ np.diag(np.exp(rng.uniform(-0.5, 0.5, size=d)))
+    core = np.zeros((d, d))
+    k = 0
+    for b in blocks:
+        core[k:k + b.shape[0], k:k + b.shape[0]] = b
+        k += b.shape[0]
+    return s @ core @ np.linalg.inv(s)
+
+
+def test_real_operator_is_decomposed_in_real_arithmetic(eig_calls):
+    h = _real_similarity(np.random.default_rng(5), [np.diag([3.0, 1.0, -2.0])]).astype(complex)
+    eigendecompose(h)
+    assert eig_calls == [np.float64]
+    # the choice follows the values: one tiny imaginary entry keeps the complex routine
+    h[0, 1] += 1e-300j
+    eig_calls.clear()
+    eigendecompose(h)
+    assert eig_calls == [np.complex128]
+
+
+def test_real_operator_results_stay_complex():
+    rng = np.random.default_rng(6)
+    symmetric = rng.normal(size=(4, 4))
+    for h, normalization in [
+        (_real_similarity(rng, [np.diag([2.0, 1.0, -0.5, -3.0])]), "unit"),
+        (symmetric + symmetric.T, "transpose"),
+    ]:
+        spectral = eigendecompose(h)
+        system = biorthonormalize(h, normalization=normalization)
+        metric = build_eta_plus(system)
+        arrays = [spectral.eigenvalues, spectral.eigenvectors, system.psi, system.phi,
+                  metric.eta_plus, metric.rho_plus, metric.rho_plus_inv, hermitize(h, metric)]
+        assert [a.dtype for a in arrays] == [np.complex128] * len(arrays)
+        assert system.eigenvalues.dtype == np.float64  # a biorthonormal system has real eigenvalues
+        if normalization == "unit":
+            # negative pivots are rotated by exactly -1, so nothing picks up a 1e-16 phase
+            assert not any(a.imag.any() for a in arrays)
+
+
+def test_real_operator_conjugate_pairs_are_exact():
+    blocks = [np.array([[a, b], [-b, a]]) for a, b in [(2.0, 0.5), (0.3, 1.7), (-1.0, 0.2)]]
+    h = _real_similarity(np.random.default_rng(8), blocks)
+    data = eigendecompose(h.astype(complex))
+    assert data.classification is SpectrumClass.CONJUGATE_PAIRS
+    w, v = data.eigenvalues, data.eigenvectors
+    assert np.all(w[0::2].imag > 0)
+    assert np.array_equal(w[1::2], w[0::2].conj())
+    assert np.array_equal(v[:, 1::2], v[:, 0::2].conj())
+    npt.assert_allclose(h @ v, v * w, atol=1e-12)
+
+
+def test_real_values_decompose_alike_in_either_dtype():
+    rng = np.random.default_rng(9)
+    h = _real_similarity(rng, [np.diag([1.5, 0.5, -1.0, -2.5])])
+    pairs = _real_similarity(rng, [np.array([[0.0, 1.0], [-1.0, 0.0]]), np.diag([2.0, -2.0])])
+    for m in (h, pairs):
+        a, b = eigendecompose(m), eigendecompose(m.astype(complex))
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+        assert a.eigvec_condition == b.eigvec_condition
+    a, b = biorthonormalize(h), biorthonormalize(h.astype(complex))
+    assert np.array_equal(a.psi, b.psi) and np.array_equal(a.phi, b.phi)
+    ma, mb = build_eta_plus(a), build_eta_plus(b)
+    for x, y in [(ma.eta_plus, mb.eta_plus), (ma.rho_plus, mb.rho_plus),
+                 (hermitize(h, ma), hermitize(h.astype(complex), mb))]:
+        assert np.array_equal(x, y)
+
+
+def test_transpose_normalization_of_real_symmetric_input_keeps_imaginary_psi():
+    # psi_n^T psi_n = -1 makes the second column purely imaginary; a real result
+    # array would have dropped that imaginary part
+    h = np.array([[1.0, 0.5, 0.0], [0.5, -1.0, 0.3], [0.0, 0.3, 2.0]])
+    system = biorthonormalize(h, normalization="transpose")
+    assert system.psi.dtype == np.complex128
+    psi = system.psi[:, 1]
+    assert not psi.real.any() and np.abs(psi.imag).max() > 0.5
+    npt.assert_allclose(system.psi.T @ system.psi, np.diag([1.0, -1.0, 1.0]), atol=ATOL)
+    npt.assert_allclose(h @ system.psi, system.psi * system.eigenvalues, atol=ATOL)
+    npt.assert_allclose(system.phi.conj().T @ system.psi, np.eye(3), atol=DUALITY_ATOL)
 
 
 def test_matrix_exp_pauli_identity():
