@@ -20,6 +20,7 @@ from .linalg import (
     SpectrumClass,
     _degenerate_clusters,
     _pauli_exp,
+    _relative_residual,
     _require_nonsingular,
     as_square_matrix,
     as_state_vector,
@@ -84,8 +85,7 @@ def is_hermitian_antilinear_involution(
     ``T^2 = -1`` and fails the first test.
     """
     tau = operator.tau
-    scale = max(float(np.linalg.norm(tau)), 1e-300)
-    sym = float(np.linalg.norm(tau.T - tau)) / scale
+    sym = _relative_residual(tau, lambda t: t.T - t)
     uni = float(np.linalg.norm(tau.conj().T @ tau - np.eye(operator.dim)))
     return InvolutionCheck(sym <= atol and uni <= atol, sym, uni)
 
@@ -149,11 +149,8 @@ def check_pt_symmetry(hamiltonian, parity, time_reversal: AntilinearOperator) ->
     if h.shape != p.shape or p.shape[0] != time_reversal.dim:
         raise DimensionMismatchError("hamiltonian, parity and time reversal dims must agree")
     _require_nonsingular(p, SingularParityError, "parity operator")
-    hnorm = float(np.linalg.norm(h))
-    if hnorm == 0.0:
-        return 0.0
     lin = p @ time_reversal.tau
-    return float(np.linalg.norm(h @ lin - lin @ np.conj(h))) / hnorm
+    return _relative_residual(h, lambda m: m @ lin - lin @ np.conj(m))
 
 
 @dataclass(frozen=True)
@@ -220,7 +217,7 @@ def check_exactness(
     """
     h = as_square_matrix(hamiltonian)
     residual = check_pt_symmetry(h, parity, time_reversal)
-    if residual > pt_tol:
+    if not residual <= pt_tol:
         raise NotPTSymmetricError(f"PT commutator residual {residual:.3e} exceeds {pt_tol:.1e}")
     spectral = eigendecompose(h, reality_rtol)
     failure = _exactness_failure(spectral.classification)
@@ -230,7 +227,7 @@ def check_exactness(
     pt_linear = as_square_matrix(parity) @ time_reversal.tau
     v = spectral.eigenvectors
     fixed = np.empty_like(v)
-    for cluster in _degenerate_clusters(spectral.eigenvalues.real, float(np.linalg.norm(h))):
+    for cluster in _degenerate_clusters(spectral.eigenvalues.real, h):
         if len(cluster) == 1:
             psi = v[:, cluster[0]]
             chi = pt_linear @ np.conj(psi)

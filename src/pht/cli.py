@@ -156,10 +156,14 @@ class _MatrixDocument(dict):
     """
 
 
+# What a non-finite result means for reports built from finite input.
+_NOT_FINITE = "result is not finite: the input overflows double precision"
+
+
 def matrix_document(matrix: np.ndarray) -> dict:
     m = np.asarray(matrix, dtype=complex)
     if not np.isfinite(m).all():
-        raise CliInputError("result is not finite: the input overflows double precision")
+        raise CliInputError(_NOT_FINITE)
     return _MatrixDocument(dim=m.shape[0], entries=np.stack([m.real, m.imag], -1).tolist())
 
 
@@ -234,10 +238,15 @@ def _emit(report: dict) -> None:
 
     The bytes are those of the one call, but each matrix document's entries
     are rendered by :func:`_indented_entries` and written as a piece of their
-    own, so the report is never one string.
+    own, so the report is never one string.  stdout is strict JSON: a NaN or
+    infinite scalar raises :class:`CliInputError` before any byte is written
+    (:func:`matrix_document` has already checked the matrix entries).
     """
     matrices: list = []
-    skeleton = json.dumps(_skeleton(report, 1, matrices), indent=2)
+    try:
+        skeleton = json.dumps(_skeleton(report, 1, matrices), indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise CliInputError(_NOT_FINITE) from exc
     pieces = skeleton.split(_ENTRIES_TOKEN)
     out = sys.stdout
     for piece, (entries, level) in zip(pieces, matrices):

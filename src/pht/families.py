@@ -324,7 +324,10 @@ def hermitize_equivalence(p: GeneralFamilyParams) -> HermitizeEquivalence:
 
     ``h'`` is the Hermitian partner of the reduced symmetric family and
     ``U2 = U1 rho'_+^{-1}``; unlike ``U1`` this similarity is not unitary,
-    which is exactly the non-Hermiticity of ``H``.
+    which is exactly the non-Hermiticity of ``H``.  The closed-form
+    ``rho'_+ = [[r_+, -i r_-], [i r_-, r_+]]`` has determinant
+    ``r_+^2 - r_-^2 = sqrt(sec^2 - tan^2) = 1``, so ``rho'_+^{-1} = conj(rho'_+)``
+    and no inverse is computed.
 
     Raises
     ------
@@ -335,5 +338,5 @@ def hermitize_equivalence(p: GeneralFamilyParams) -> HermitizeEquivalence:
     """
     reduction = reduce_general_to_symmetric(p)
     ops = symmetric_operators(reduction.params)
-    u2 = reduction.u1 @ np.linalg.inv(ops.rho_plus)
+    u2 = reduction.u1 @ ops.rho_plus.conj()
     return HermitizeEquivalence(ops.hermitian_h, u2)

@@ -31,11 +31,16 @@ EIGVEC_CONDITION_LIMIT = 1e8
 # Eigenvalue gap, relative to ||H||_F, below which neighbours are clustered
 # as a degenerate group.
 DEGENERATE_GAP_RTOL = 1e-8
-# Hermiticity tolerance for operators that must be Hermitian.
+# Relative residual tolerance for operators that must be Hermitian, and for
+# the complex symmetry the transpose normalization requires.
 HERMITICITY_RTOL = 1e-10
 # Relative reciprocal condition number below which a weight or parity
 # operator is treated as singular.
 WEIGHT_RCOND_LIMIT = 1e-13
+# Frobenius norms strictly inside this range are used as computed: their sums
+# of squares neither overflow nor underflow, with headroom for a residual of
+# larger norm.  An operand outside it is first scaled by a power of two.
+_PLAIN_NORM_RANGE = (2.0**-300, 2.0**300)
 
 IDENTITY2 = np.eye(2, dtype=complex)
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -88,6 +93,44 @@ def _real_if_real(m: np.ndarray) -> np.ndarray:
     cast the results back with ``astype(complex, copy=False)``.
     """
     return m if m.imag.any() else m.real
+
+
+def _norm_in_range(m: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """``(m * 2**-e, ||m * 2**-e||_F, e)``, with ``e = 0`` when ``||m||_F`` is in range.
+
+    Out of range (overflowing, underflowing or NaN), ``e`` is the binary
+    exponent of the largest real or imaginary part, so the scaled parts peak
+    in ``[0.5, 1)``.  A power of two scales exactly (subnormal parts aside),
+    so a ratio of norms that are homogeneous in ``m`` keeps the bits it has
+    wherever nothing overflows.  A zero ``m`` gives ``(m, 0.0, 0)``.  The plain
+    norm may overflow: callers run this under ``np.errstate``.
+    """
+    norm = float(np.linalg.norm(m))
+    if _PLAIN_NORM_RANGE[0] < norm < _PLAIN_NORM_RANGE[1]:
+        return m, norm, 0
+    if not m.any():
+        return m, 0.0, 0
+    e = int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
+    scaled = np.ldexp(m.real, -e)
+    if np.iscomplexobj(m):
+        scaled = scaled + 1j * np.ldexp(m.imag, -e)
+    return scaled, float(np.linalg.norm(scaled)), e
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _relative_residual(m: np.ndarray, residual_of) -> float:
+    """``||residual_of(m)||_F / ||m||_F``, and 0 for a zero ``m``.
+
+    The one relative-residual test of the package.  ``residual_of`` must be
+    real-linear in ``m`` (a commutator, ``m - m^T``, ``m - m^dagger``), so it
+    may receive ``m`` scaled by :func:`_norm_in_range`.  numpy prints no
+    warning: an overflow or NaN in the other operands yields an infinite or
+    NaN ratio, which gates refuse by testing ``not residual <= tol``.
+    """
+    m, norm, _ = _norm_in_range(m)
+    if norm == 0.0:
+        return 0.0
+    return float(np.linalg.norm(residual_of(m))) / norm
 
 
 def _require_nonsingular(matrix: np.ndarray, error: type[PHTError], name: str) -> None:
@@ -170,12 +213,21 @@ class BiorthonormalSystem:
         return float(np.linalg.norm(d))
 
 
-def _degenerate_clusters(eigenvalues: np.ndarray, scale: float) -> list[list[int]]:
-    """Group indices of (sorted) eigenvalues whose gaps fall below tolerance."""
-    gap = DEGENERATE_GAP_RTOL * max(scale, 1.0e-300)
+@np.errstate(over="ignore", invalid="ignore")
+def _degenerate_clusters(eigenvalues: np.ndarray, matrix: np.ndarray) -> list[list[int]]:
+    """Group indices of (sorted) real eigenvalues of ``matrix`` into degenerate clusters.
+
+    Neighbours join a cluster when their gap is at most
+    ``DEGENERATE_GAP_RTOL * ||matrix||_F``; both sides are scaled by the power
+    of two of :func:`_norm_in_range`, so the norm cannot overflow to ``inf``
+    and merge every eigenvalue.
+    """
+    _, scale, e = _norm_in_range(matrix)
+    w = np.ldexp(eigenvalues, -e)
+    gap = DEGENERATE_GAP_RTOL * scale
     clusters: list[list[int]] = [[0]]
-    for k in range(1, len(eigenvalues)):
-        if abs(eigenvalues[k] - eigenvalues[k - 1]) < gap:
+    for k in range(1, len(w)):
+        if abs(w[k] - w[k - 1]) <= gap:
             clusters[-1].append(k)
         else:
             clusters.append([k])
@@ -232,8 +284,7 @@ def _biorthonormal(
     must come from ``eigendecompose(m, reality_rtol)``.  Callers that try both
     conventions pass one decomposition to each attempt.
     """
-    scale = float(np.linalg.norm(m))
-    if normalization == "transpose" and np.linalg.norm(m - m.T) > 1e-10 * (1.0 + scale):
+    if normalization == "transpose" and not _relative_residual(m, lambda a: a - a.T) <= HERMITICITY_RTOL:
         raise ValueError("transpose normalization requires a complex symmetric matrix")
     if spectral.classification is SpectrumClass.NEAR_DEFECTIVE:
         raise NotDiagonalizableError(
@@ -251,7 +302,7 @@ def _biorthonormal(
 
     w = spectral.eigenvalues.real.copy()
     v = spectral.eigenvectors.copy()
-    clusters = _degenerate_clusters(w, scale)
+    clusters = _degenerate_clusters(w, m)
 
     if normalization == "unit":
         for cluster in clusters:

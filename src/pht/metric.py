@@ -7,7 +7,9 @@ Hamiltonian with real spectrum, the canonical positive metric is
 
 with positive square root ``rho_plus``.  ``rho_plus H rho_plus^{-1}`` is then
 Hermitian, and ``rho_plus`` is a unitary map from the metric inner product to
-the Euclidean one.  Alternating-sign variants of the same sum produce the
+the Euclidean one.  Conversely ``H`` is ``eta_plus``-pseudo-Hermitian exactly
+when that partner is Hermitian, so :func:`hermitize` decides on the partner it
+returns.  Alternating-sign variants of the same sum produce the
 generalized parity and the charge-conjugation-like symmetry operator.
 """
 from __future__ import annotations
@@ -32,14 +34,15 @@ from .linalg import (
     WEIGHT_RCOND_LIMIT,
     BiorthonormalSystem,
     _real_if_real,
+    _relative_residual,
     _require_nonsingular,
     as_square_matrix,
     as_state_vector,
     biorthonormalize,
 )
 
-# Residual above which a (Hamiltonian, metric) pair is rejected as not
-# pseudo-Hermitian.
+# Relative anti-Hermitian part of the partner rho_plus H rho_plus^{-1} above
+# which a (Hamiltonian, metric) pair is rejected as not pseudo-Hermitian.
 PSEUDO_HERMITICITY_TOL = 1e-8
 
 
@@ -152,29 +155,38 @@ def verify_pseudo_hermiticity(hamiltonian, weight) -> float:
     if h.shape != w.shape:
         raise DimensionMismatchError(f"operator shapes differ: {h.shape} vs {w.shape}")
     _require_nonsingular(w, SingularWeightError, "weight operator")
-    hnorm = float(np.linalg.norm(h))
-    if hnorm == 0.0:
-        return 0.0
-    residual = h.conj().T - w @ h @ np.linalg.inv(_real_if_real(w)).astype(complex, copy=False)
-    return float(np.linalg.norm(residual)) / hnorm
+    w_inv = np.linalg.inv(_real_if_real(w)).astype(complex, copy=False)
+    return _relative_residual(h, lambda m: m.conj().T - w @ m @ w_inv)
 
 
 def hermitize(hamiltonian, metric: MetricOperator, *, tol: float = PSEUDO_HERMITICITY_TOL) -> np.ndarray:
     """Map ``H`` to its Hermitian partner ``h = rho_plus H rho_plus^{-1}``.
 
+    The partner is accepted when ``||h - h^dagger||_F / ||h||_F <= tol``.  With
+    ``eta_plus = rho_plus^2`` and ``rho_plus`` Hermitian,
+    ``H^dagger - eta_plus H eta_plus^{-1} = rho_plus (h^dagger - h) rho_plus^{-1}``,
+    so in exact arithmetic this is the pseudo-Hermiticity of ``H`` with respect
+    to ``eta_plus``.  Testing the partner decides on what the caller gets, and
+    it needs no inverse of ``eta_plus``, whose roundoff grows with
+    ``cond(eta_plus)``.
+
     Raises
     ------
+    DimensionMismatchError
+        If ``metric`` has another dimension than ``H``.
     NotPseudoHermitianError
-        If ``H`` fails pseudo-Hermiticity with respect to ``metric.eta_plus``
-        at relative residual ``tol``.
+        If the partner's residual exceeds ``tol`` or is NaN.
     """
     h = as_square_matrix(hamiltonian)
-    residual = verify_pseudo_hermiticity(h, metric.eta_plus)
-    if residual > tol:
+    if h.shape[0] != metric.dim:
+        raise DimensionMismatchError(f"hamiltonian dim {h.shape[0]} != metric dim {metric.dim}")
+    partner = metric.rho_plus @ h @ metric.rho_plus_inv
+    residual = _relative_residual(partner, lambda p: p - p.conj().T)
+    if not residual <= tol:
         raise NotPseudoHermitianError(
             f"pseudo-Hermiticity residual {residual:.3e} exceeds {tol:.1e}"
         )
-    return metric.rho_plus @ h @ metric.rho_plus_inv
+    return partner
 
 
 def map_observable(observable, metric: MetricOperator, direction: str = "to_tilde") -> np.ndarray:
@@ -213,7 +225,7 @@ class InnerProductKind:
     def pseudo_eta(cls, weight) -> "InnerProductKind":
         """Indefinite product ``<psi, W phi>`` for Hermitian invertible ``W``."""
         w = as_square_matrix(weight)
-        if np.linalg.norm(w - w.conj().T) > HERMITICITY_RTOL * (1.0 + np.linalg.norm(w)):
+        if not _relative_residual(w, lambda a: a - a.conj().T) <= HERMITICITY_RTOL:
             raise NotHermitianError("pseudo inner-product weight must be Hermitian")
         _require_nonsingular(w, SingularWeightError, "pseudo inner-product weight")
         return cls("pseudo-eta", w)

@@ -140,6 +140,29 @@ def test_check_pt_symmetry_validation():
     assert check_pt_symmetry(np.zeros((2, 2)), np.eye(2), conj) == 0.0
 
 
+def integer_grid_matrices(max_dim=4):
+    """Complex matrices whose parts are multiples of 2^-10 below 2^10 in modulus.
+
+    Scaling one by ``2**j`` for ``|j| <= 1000`` neither overflows nor leaves
+    the normal range, so it is exact.
+    """
+    def build(dim):
+        parts = st.lists(st.integers(-(2**20), 2**20), min_size=2 * dim * dim, max_size=2 * dim * dim)
+        return parts.map(lambda v: np.ldexp(np.reshape(v, (2, dim, dim)).astype(float), -10))
+
+    return st.integers(2, max_dim).flatmap(build).map(lambda p: p[0] + 1j * p[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_grid_matrices(), st.integers(-1000, 1000))
+def test_check_pt_symmetry_is_bit_identical_under_power_of_two_scaling(h, j):
+    dim = h.shape[0]
+    parity = np.diag([(-1.0) ** k for k in range(dim)])
+    conj = AntilinearOperator(np.eye(dim))
+    scaled = np.ldexp(h.real, j) + 1j * np.ldexp(h.imag, j)
+    assert check_pt_symmetry(scaled, parity, conj) == check_pt_symmetry(h, parity, conj)
+
+
 def test_check_exactness_exact_family():
     conj = AntilinearOperator(np.eye(2))
     rng = np.random.default_rng(27)

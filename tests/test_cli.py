@@ -63,9 +63,16 @@ def write_state(tmp_path, name, state):
     return write_json(tmp_path, name, state_document(np.asarray(state, dtype=complex)))
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
 def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
+    if captured.out.startswith("{"):
+        # Every JSON report must be strict JSON: NaN and Infinity tokens fail here.
+        json.loads(captured.out, parse_constant=_reject_constant)
     return rc, captured.out, captured.err
 
 
@@ -370,6 +377,80 @@ def test_family_overflow_prints_only_the_error_line(flags):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_INPUT, "", OVERFLOW_ERROR)
+
+
+# Entries near the top of the double range: Frobenius norms of these overflow.
+UPPER_TRIANGULAR_1E308 = [[1e308, 1e308j], [0.0, -1e308]]
+ROTATION_1E308 = [[1e308, 1e308], [-1e308, 1e308]]
+
+
+def test_pt_residual_near_the_double_limit_is_finite(tmp_path, capsys):
+    # ||H - conj(H)|| / ||H|| = 2 / sqrt(3): both norms overflow unless rescaled
+    path = write_matrix(tmp_path, "h.json", UPPER_TRIANGULAR_1E308)
+    rc, out, err = run(capsys, ["check-pt", path])
+    want = {"dim": 2, "pt_residual": 1.1547005383792517, "pt_symmetric": False,
+            "exact": None, "failure_reason": None}
+    assert (rc, out, err) == (EXIT_OK, emitted(want), "")
+    rc, out, err = run(capsys, ["analyze", path])
+    assert (rc, err) == (EXIT_OK, "")
+    assert json.loads(out)["pt_residual"] == 1.1547005383792517
+
+
+def test_commands_near_the_double_limit_print_no_warnings(tmp_path, capsys):
+    path = write_matrix(tmp_path, "h.json", ROTATION_1E308)
+    rc, out, err = run(capsys, ["check-pt", path])
+    want = {"dim": 2, "pt_residual": 0.0, "pt_symmetric": True,
+            "exact": False, "failure_reason": "complex_eigenvalues"}
+    assert (rc, out, err) == (EXIT_OK, emitted(want), "")
+    rc, out, err = run(capsys, ["analyze", path])
+    assert (rc, err) == (EXIT_OK, "")
+    assert json.loads(out)["classification"] == "conjugate-pairs"
+    for command in ("metric", "hermitize"):
+        rc, out, err = run(capsys, [command, path])
+        assert (rc, out) == (EXIT_SYMMETRY, "")
+        assert err.startswith("error: ComplexSpectrumError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e300])
+def test_metric_does_not_depend_on_the_scale_of_h(tmp_path, capsys, scale):
+    # At 1e-12 an absolute floor would pass this non-symmetric H through the
+    # transpose gate; at 1e300 an overflowing ||H|| would put both eigenvalues
+    # in one cluster and mix their eigenvectors.
+    a = np.array([[1.0, 1.5], [0.0, -1.0]])
+    reports = {}
+    for name, h in (("one", a), ("scaled", scale * a)):
+        path = write_matrix(tmp_path, f"{name}.json", h)
+        rc, out, err = run(capsys, ["metric", path])
+        assert (rc, err) == (EXIT_OK, "")
+        reports[name] = json.loads(out)
+        rc, out, err = run(capsys, ["hermitize", path])
+        assert (rc, err) == (EXIT_OK, "")
+        reports[name]["partner"] = parse_matrix_document(json.loads(out)) / np.max(np.abs(h))
+    for key in ("eta_plus", "rho_plus", "parity", "charge"):
+        got = parse_matrix_document(reports["scaled"][key])
+        npt.assert_allclose(got, parse_matrix_document(reports["one"][key]), rtol=0, atol=1e-14)
+    npt.assert_allclose(reports["scaled"]["partner"], reports["one"]["partner"], rtol=0, atol=1e-14)
+    eta = parse_matrix_document(reports["scaled"]["eta_plus"])
+    assert np.linalg.norm(a.T @ eta - eta @ a) <= 1e-15 * np.linalg.norm(a) * np.linalg.norm(eta)
+
+
+def test_non_finite_result_exits_2_without_output(tmp_path, capsys):
+    # the commutator with a parity of norm 1e308 overflows to NaN
+    h_path = write_matrix(tmp_path, "h.json", [[1.0, 2.0], [3.0, 4.0]])
+    p_path = write_matrix(tmp_path, "p.json", 1e308 * np.eye(2))
+    for command in ("check-pt", "analyze"):
+        rc, out, err = run(capsys, [command, h_path, "--parity", p_path])
+        assert (rc, out, err) == (EXIT_INPUT, "", OVERFLOW_ERROR)
+    with pytest.raises(CliInputError, match="result is not finite"):
+        emitted({"pt_residual": float("inf")})
+
+
+def test_metric_and_hermitize_agree_near_the_exceptional_point(tmp_path, capsys):
+    for k in range(1, 13):
+        for phi in (0.0, 0.3, 1.1):
+            path = family_matrix_path(tmp_path, 0.2, 1.0 - 10.0**-k, 1.0, phi)
+            codes = [run(capsys, [command, path])[0] for command in ("metric", "hermitize")]
+            assert codes[0] == codes[1], (k, phi, codes)
 
 
 @pytest.mark.parametrize("value", ["nan", "-inf"])
@@ -764,10 +845,6 @@ def test_non_finite_reality_rtol_env_exits_2(tmp_path, capsys, monkeypatch, valu
     rc, out, err = run(capsys, ["metric", path])
     assert rc == EXIT_INPUT and out == ""
     assert "PHT_RTOL" in err and repr(value) in err
-
-
-def _reject_constant(name):
-    raise ValueError(f"non-JSON constant {name}")
 
 
 @pytest.mark.parametrize(

@@ -322,6 +322,15 @@ def test_hermitize_equivalence_random():
         )
 
 
+def test_rho_plus_inverse_is_its_conjugate():
+    # det rho_plus = r_+^2 - r_-^2 = sqrt(sec^2 - tan^2) = 1, which hermitize_equivalence uses
+    near_ep = 1.0 - 10.0 ** -np.arange(2, 7)
+    for ratio in np.concatenate([np.linspace(-0.99, 0.99, 23), near_ep, -near_ep]):
+        rho = symmetric_operators(SymmetricFamilyParams(0.3, ratio, 1.5, 0.7)).rho_plus
+        residual = np.linalg.norm(rho @ rho.conj() - IDENTITY2)
+        assert residual <= 1e-12 * np.linalg.norm(rho) ** 2, ratio
+
+
 def test_hermitize_equivalence_rejects_broken():
     with pytest.raises(ExceptionalPointError):
         hermitize_equivalence(GeneralFamilyParams(0.0, 3.0, 1.0, 1.0, 0.0))

@@ -2,12 +2,15 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pht.antilinear import _axis_matrix
 from pht.errors import (
     ComplexSpectrumError,
     NonFiniteError,
     NotDiagonalizableError,
+    PHTError,
 )
 from pht.linalg import (
     IDENTITY2,
@@ -170,6 +173,34 @@ def test_transpose_normalization_rejections():
         biorthonormalize(np.array([[1.0, 2.0], [0.5, -1.0]]), normalization="transpose")
     with pytest.raises(ValueError, match="nondegenerate"):
         biorthonormalize(np.eye(2), normalization="transpose")
+
+
+def _transpose_gate_refuses(h) -> bool:
+    try:
+        biorthonormalize(h, normalization="transpose")
+    except ValueError as exc:
+        return "complex symmetric" in str(exc)
+    except PHTError:
+        pass  # refused by a later gate
+    return False
+
+
+small_integer_matrices = st.integers(2, 4).flatmap(
+    lambda dim: st.lists(st.integers(-8, 8), min_size=2 * dim * dim, max_size=2 * dim * dim).map(
+        lambda v: np.reshape(v, (2, dim, dim)).astype(float)
+    )
+).map(lambda p: p[0] + 1j * p[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_integer_matrices, st.booleans(), st.floats(min_value=1e-12, max_value=1e300))
+@example(np.array([[1.0, 1.5], [0.0, -1.0]]), False, 1e-12)
+@example(np.array([[1.0, 1.5], [0.0, -1.0]]), False, 1e300)
+def test_transpose_gate_verdict_does_not_depend_on_scale(h, symmetrize, scale):
+    # integer entries: a non-symmetric h has relative asymmetry far above the tolerance
+    if symmetrize:
+        h = h + h.T
+    assert _transpose_gate_refuses(scale * h) == _transpose_gate_refuses(h)
 
 
 def _real_similarity(rng, blocks):

@@ -10,10 +10,11 @@ from pht.errors import (
     NotHermitianError,
     NotPositiveDefiniteError,
     NotPseudoHermitianError,
+    PHTError,
     SingularWeightError,
 )
-from pht.families import SymmetricFamilyParams, symmetric_hamiltonian
-from pht.linalg import biorthonormalize
+from pht.families import SymmetricFamilyParams, symmetric_hamiltonian, symmetric_operators
+from pht.linalg import biorthonormalize, eigendecompose
 from pht.metric import (
     InnerProductKind,
     MetricOperator,
@@ -134,8 +135,37 @@ def test_hermitize_spectrum_preserved():
 def test_hermitize_rejects_wrong_metric():
     identity_metric = MetricOperator(np.eye(2), np.eye(2), np.eye(2))
     h = np.array([[1.0, 1.0], [0.0, 2.0]])  # not Hermitian, so not I-pseudo-Hermitian
-    with pytest.raises(NotPseudoHermitianError):
-        hermitize(h, identity_metric)
+    other = metric_from_hamiltonian(np.array([[1.0, 0.0], [1.0, 2.0]]))
+    good = metric_from_hamiltonian(h)
+    nan_root = MetricOperator(good.eta_plus, np.full((2, 2), np.nan), good.rho_plus_inv)
+    for metric in (identity_metric, other, nan_root):
+        with pytest.raises(NotPseudoHermitianError):
+            hermitize(h, metric)
+    with pytest.raises(DimensionMismatchError):
+        hermitize(np.eye(3), good)
+
+
+@pytest.mark.parametrize("normalization", ["unit", "transpose"])
+def test_hermitize_accepts_every_metric_built_near_the_exceptional_point(normalization):
+    eps = np.finfo(float).eps
+    built = 0
+    for k in range(1, 13):
+        for phi in (0.0, 0.3, 1.1):
+            # s / t = 1 - 10^-k: cond(V) grows like 10^(k/2)
+            p = SymmetricFamilyParams(0.2, 1.0 - 10.0**-k, 1.0, phi)
+            h = symmetric_hamiltonian(p)
+            try:
+                metric = metric_from_hamiltonian(h, normalization=normalization)
+            except PHTError:
+                continue
+            built += 1
+            partner = hermitize(h, metric)
+            if p.is_exact:
+                want = symmetric_operators(p).hermitian_h
+                bound = 64 * eps * eigendecompose(h).eigvec_condition ** 2
+                assert np.linalg.norm(partner - want) <= bound * np.linalg.norm(want), (k, phi)
+    # every point builds, so the sweep reaches cond(V) ~ 1e6
+    assert built == 36
 
 
 def test_map_observable_roundtrip():
