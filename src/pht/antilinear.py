@@ -19,6 +19,7 @@ from .linalg import (
     SIGMA3,
     SpectrumClass,
     _degenerate_clusters,
+    _norm_in_range,
     _pauli_exp,
     _relative_residual,
     _require_nonsingular,
@@ -137,7 +138,10 @@ def check_pt_symmetry(hamiltonian, parity, time_reversal: AntilinearOperator) ->
     """Commutator residual of ``H`` with the antilinear product ``P . T``.
 
     ``[H, PT] = 0`` reads ``H P tau = P tau conj(H)`` on linear parts; the
-    returned value is ``||H P tau - P tau conj(H)||_F / ||H||_F``.
+    returned value is ``||H P tau - P tau conj(H)||_F / ||H||_F``.  It is
+    homogeneous of degree 1 in ``P`` and in ``tau``, so each is scaled into
+    range by a power of two and the residual scaled back: in-range operators
+    keep their bits, and only a residual that itself overflows reads ``inf``.
 
     Raises
     ------
@@ -149,8 +153,12 @@ def check_pt_symmetry(hamiltonian, parity, time_reversal: AntilinearOperator) ->
     if h.shape != p.shape or p.shape[0] != time_reversal.dim:
         raise DimensionMismatchError("hamiltonian, parity and time reversal dims must agree")
     _require_nonsingular(p, SingularParityError, "parity operator")
-    lin = p @ time_reversal.tau
-    return _relative_residual(h, lambda m: m @ lin - lin @ np.conj(m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, _, e_p = _norm_in_range(p)
+        tau, _, e_tau = _norm_in_range(time_reversal.tau)
+        lin = p @ tau
+        residual = _relative_residual(h, lambda m: m @ lin - lin @ np.conj(m))
+        return float(np.ldexp(residual, e_p + e_tau))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ Euclidean norm grows like ``exp(|Im E| t)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +36,14 @@ _BLOCK_ENTRIES = 2**18
 
 @dataclass(frozen=True)
 class EvolutionSpec:
-    """A Hamiltonian, an initial state, and a time window ``[t0, t1]``."""
+    """A Hamiltonian, an initial state, and a time window ``[t0, t1]``.
+
+    ``hamiltonian`` and ``initial_state`` are read-only copies of the
+    caller's arrays, so later writes to those arrays do not reach the spec.
+    The spec decomposes ``H`` once, on first use by :func:`evolve` or
+    :func:`norm_trajectory`, and every later call on the same spec shares
+    that decomposition.
+    """
 
     hamiltonian: np.ndarray
     initial_state: np.ndarray
@@ -54,8 +62,22 @@ class EvolutionSpec:
             raise ValueError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "initial_state", psi)
+        for name, array in (("hamiltonian", h), ("initial_state", psi)):
+            array = array.copy()
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    @cached_property
+    def _spectral(self) -> SpectralData:
+        """``eigendecompose(self.hamiltonian)``, computed on first use.
+
+        Every call on the spec receives this one result, so its arrays are
+        read-only as well.
+        """
+        spectral = eigendecompose(self.hamiltonian)
+        spectral.eigenvalues.flags.writeable = False
+        spectral.eigenvectors.flags.writeable = False
+        return spectral
 
 
 def _propagate(spec: EvolutionSpec, times: np.ndarray, spectral: SpectralData):
@@ -102,6 +124,9 @@ def _propagate(spec: EvolutionSpec, times: np.ndarray, spectral: SpectralData):
 def evolve(spec: EvolutionSpec, time: float) -> np.ndarray:
     """State at ``time``; only times inside the configured window are allowed.
 
+    Propagates from the spec's one decomposition of its read-only ``H``,
+    made on first use and shared by every call on the same spec.
+
     Raises
     ------
     OutOfRangeError
@@ -112,7 +137,7 @@ def evolve(spec: EvolutionSpec, time: float) -> np.ndarray:
     if time < spec.t0 or time > spec.t1:
         raise OutOfRangeError(f"time {time} outside window [{spec.t0}, {spec.t1}]")
     times = np.array([time], dtype=float)
-    return next(_propagate(spec, times, eigendecompose(spec.hamiltonian)))[:, 0]
+    return next(_propagate(spec, times, spec._spectral))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -126,6 +151,11 @@ class NormTrajectory:
 
 def norm_trajectory(spec: EvolutionSpec, kind="euclidean") -> NormTrajectory:
     """Track the state norm across the evolution window.
+
+    The metric (for ``"metric"``) and the propagation come from the spec's
+    one decomposition of its read-only ``H``, made on first use and shared
+    with :func:`evolve` and every other call on the same spec; an unknown
+    ``kind`` is refused before it is made.
 
     Parameters
     ----------
@@ -146,8 +176,7 @@ def norm_trajectory(spec: EvolutionSpec, kind="euclidean") -> NormTrajectory:
             raise DimensionMismatchError(f"weight dim {kind.weight.shape[0]} != state dim {d}")
     elif kind not in ("euclidean", "metric"):
         raise ValueError(f"unknown norm kind {kind!r}")
-    # One decomposition serves the metric and the propagation.
-    spectral = eigendecompose(h)
+    spectral = spec._spectral
     if kind == "euclidean":
         ip = InnerProductKind.euclidean()
     elif kind == "metric":

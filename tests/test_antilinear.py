@@ -2,7 +2,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pht.antilinear import (
@@ -140,17 +140,24 @@ def test_check_pt_symmetry_validation():
     assert check_pt_symmetry(np.zeros((2, 2)), np.eye(2), conj) == 0.0
 
 
-def integer_grid_matrices(max_dim=4):
+def integer_grid_matrices(max_dim=4, count=1):
     """Complex matrices whose parts are multiples of 2^-10 below 2^10 in modulus.
 
     Scaling one by ``2**j`` for ``|j| <= 1000`` neither overflows nor leaves
-    the normal range, so it is exact.
+    the normal range, so it is exact.  With ``count > 1``, a tuple of that
+    many matrices of one dimension.
     """
     def build(dim):
-        parts = st.lists(st.integers(-(2**20), 2**20), min_size=2 * dim * dim, max_size=2 * dim * dim)
-        return parts.map(lambda v: np.ldexp(np.reshape(v, (2, dim, dim)).astype(float), -10))
+        size = 2 * count * dim * dim
+        parts = st.lists(st.integers(-(2**20), 2**20), min_size=size, max_size=size)
+        return parts.map(lambda v: np.ldexp(np.reshape(v, (count, 2, dim, dim)).astype(float), -10))
 
-    return st.integers(2, max_dim).flatmap(build).map(lambda p: p[0] + 1j * p[1])
+    matrices = st.integers(2, max_dim).flatmap(build).map(lambda p: p[:, 0] + 1j * p[:, 1])
+    return matrices.map(lambda m: m[0]) if count == 1 else matrices.map(tuple)
+
+
+def scale_by_power_of_two(m, j):
+    return np.ldexp(m.real, j) + 1j * np.ldexp(m.imag, j)
 
 
 @settings(max_examples=100, deadline=None)
@@ -159,8 +166,22 @@ def test_check_pt_symmetry_is_bit_identical_under_power_of_two_scaling(h, j):
     dim = h.shape[0]
     parity = np.diag([(-1.0) ** k for k in range(dim)])
     conj = AntilinearOperator(np.eye(dim))
-    scaled = np.ldexp(h.real, j) + 1j * np.ldexp(h.imag, j)
-    assert check_pt_symmetry(scaled, parity, conj) == check_pt_symmetry(h, parity, conj)
+    assert check_pt_symmetry(scale_by_power_of_two(h, j), parity, conj) == check_pt_symmetry(h, parity, conj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_grid_matrices(count=3), st.integers(-1000, 1000), st.integers(-1000, 1000))
+def test_check_pt_symmetry_scales_with_the_parity_and_tau_bit_for_bit(matrices, j, k):
+    # the residual is homogeneous of degree 1 in P and in tau; a residual
+    # that overflows reads inf on both sides
+    h, parity, tau = matrices
+    assume(np.linalg.cond(parity) < 1e12)
+    residual = check_pt_symmetry(h, parity, AntilinearOperator(tau))
+    scaled = check_pt_symmetry(
+        h, scale_by_power_of_two(parity, j), AntilinearOperator(scale_by_power_of_two(tau, k))
+    )
+    with np.errstate(over="ignore"):
+        assert scaled == np.ldexp(residual, j + k)
 
 
 def test_check_exactness_exact_family():

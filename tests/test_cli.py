@@ -434,9 +434,22 @@ def test_metric_does_not_depend_on_the_scale_of_h(tmp_path, capsys, scale):
     assert np.linalg.norm(a.T @ eta - eta @ a) <= 1e-15 * np.linalg.norm(a) * np.linalg.norm(eta)
 
 
-def test_non_finite_result_exits_2_without_output(tmp_path, capsys):
-    # the commutator with a parity of norm 1e308 overflows to NaN
+def test_pt_residual_is_scaled_out_of_a_huge_parity(tmp_path, capsys):
+    # a real H commutes with c 1 K for every c: the residual is exactly 0
     h_path = write_matrix(tmp_path, "h.json", [[1.0, 2.0], [3.0, 4.0]])
+    p_path = write_matrix(tmp_path, "p.json", 1e308 * np.eye(2))
+    rc, out, err = run(capsys, ["check-pt", h_path, "--parity", p_path])
+    want = {"dim": 2, "pt_residual": 0.0, "pt_symmetric": True, "exact": True, "failure_reason": None}
+    assert (rc, out, err) == (EXIT_OK, emitted(want), "")
+    rc, out, err = run(capsys, ["analyze", h_path, "--parity", p_path])
+    assert (rc, err) == (EXIT_OK, "")
+    assert json.loads(out)["pt_residual"] == 0.0
+
+
+def test_non_finite_result_exits_2_without_output(tmp_path, capsys):
+    # ||H - conj(H)|| / ||H|| = 2 for an imaginary H, so with a parity of
+    # norm 1e308 the PT residual itself overflows
+    h_path = write_matrix(tmp_path, "h.json", [[1j, 2j], [3j, 4j]])
     p_path = write_matrix(tmp_path, "p.json", 1e308 * np.eye(2))
     for command in ("check-pt", "analyze"):
         rc, out, err = run(capsys, [command, h_path, "--parity", p_path])
@@ -519,7 +532,8 @@ def test_evolve_overflow_exits_2(tmp_path, capsys):
 
 
 def test_evolve_decomposes_h_once(tmp_path, capsys, eig_calls):
-    # the metric norm and the propagation share one eigendecomposition
+    # the metric norm and the propagation share the CLI's one
+    # eigendecomposition, made with --rtol; the EvolutionSpec makes none
     h_path = write_matrix(tmp_path, "h.json", np.array([[2.0, 1j], [1j, -2.0]]))
     s_path = write_state(tmp_path, "psi.json", [1.0, 0.0])
     for norm in ("metric", "euclidean"):

@@ -1,6 +1,7 @@
 """Propagation, norm trajectories, and growth-rate fitting."""
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import numpy.testing as npt
@@ -142,6 +143,56 @@ def test_unknown_kind_rejected(eig_calls):
     with pytest.raises(ValueError):
         norm_trajectory(spec, kind="manhattan")
     assert eig_calls == []
+
+
+SPEC_CALLS = [
+    *(partial(evolve, time=t) for t in (0.0, 1.3, 4.0)),
+    lambda spec: norm_trajectory(spec, "euclidean").norms,
+    lambda spec: norm_trajectory(spec, "metric").norms,
+]
+
+
+def test_one_spec_decomposes_h_once(eig_calls):
+    h = symmetric_hamiltonian(FAMILY_POINT)
+    psi0 = np.array([0.3 + 0.1j, -0.8])
+    spec = EvolutionSpec(h, psi0, t0=0.0, t1=4.0, steps=40)
+    shared = [call(spec) for call in SPEC_CALLS]
+    assert len(eig_calls) == 1
+    # the same call as the first on a fresh spec gets the same bits
+    for call, got in zip(SPEC_CALLS, shared):
+        assert np.array_equal(call(EvolutionSpec(h, psi0, t0=0.0, t1=4.0, steps=40)), got)
+    assert len(eig_calls) == 1 + len(SPEC_CALLS)
+
+
+def test_refused_metric_still_shares_the_decomposition(eig_calls):
+    spec = EvolutionSpec(symmetric_hamiltonian(BROKEN_POINT), np.array([1.0, 0.0]), t1=2.0, steps=20)
+    with pytest.raises(NoPositiveMetricError):
+        norm_trajectory(spec, kind="metric")
+    norm_trajectory(spec, kind="euclidean")
+    evolve(spec, 1.0)
+    assert len(eig_calls) == 1
+
+
+def test_spec_holds_read_only_copies():
+    h = symmetric_hamiltonian(FAMILY_POINT)
+    psi0 = np.array([0.3 + 0.1j, -0.8])
+    assert h.dtype == psi0.dtype == complex  # the dtypes a spec could alias
+    pristine = [evolve(EvolutionSpec(h.copy(), psi0.copy(), t0=0.0, t1=2.0), t) for t in (1.0, 2.0)]
+    spec = EvolutionSpec(h, psi0, t0=0.0, t1=2.0)
+    with pytest.raises(ValueError):
+        spec.hamiltonian[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        spec.initial_state[0] = 5.0
+    # writes to the caller's arrays, before and after the spec decomposes H,
+    # reach neither the spec nor its decomposition
+    h[0, 1] = 7.0
+    psi0[1] = 7.0
+    assert np.array_equal(evolve(spec, 1.0), pristine[0])
+    h[1, 0] = 7.0
+    assert np.array_equal(evolve(spec, 2.0), pristine[1])
+    # every call receives the one decomposition, so it is read-only too
+    with pytest.raises(ValueError):
+        spec._spectral.eigenvectors[0, 0] = 5.0
 
 
 def test_near_defective_falls_back_to_dense_exponential():
