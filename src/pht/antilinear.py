@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NotPTSymmetricError, SingularParityError
 from .linalg import (
-    REALITY_RTOL,
     SIGMA1,
     SIGMA3,
     SpectrumClass,
@@ -201,19 +200,13 @@ def _pt_fix_cluster(columns: np.ndarray, pt_linear: np.ndarray) -> np.ndarray:
     return u[:d, :k] + 1j * u[d:, :k]
 
 
-def check_exactness(
-    hamiltonian,
-    parity,
-    time_reversal: AntilinearOperator,
-    *,
-    pt_tol: float = PT_RESIDUAL_TOL,
-    reality_rtol: float = REALITY_RTOL,
-) -> ExactnessReport:
+def check_exactness(hamiltonian, parity, time_reversal: AntilinearOperator) -> ExactnessReport:
     """Decide exactness of the ``PT`` symmetry and produce fixed eigenvectors.
 
     The symmetry is exact when every eigenvector can be rescaled to a ``PT``
     fixed point, which for an involutive antilinear symmetry happens exactly
-    when the spectrum is real and the matrix diagonalizable.  Nondegenerate
+    when the spectrum is real (to within ``REALITY_RTOL``) and the matrix
+    diagonalizable.  Nondegenerate
     eigenvectors satisfy ``PT psi = N psi`` with ``|N| = 1``, so the phase
     ``psi -> e^{i arg(N) / 2} psi`` fixes them; degenerate clusters are
     handled by real-linear combination.
@@ -221,13 +214,15 @@ def check_exactness(
     Raises
     ------
     NotPTSymmetricError
-        If the commutator residual exceeds ``pt_tol``.
+        If the commutator residual exceeds ``PT_RESIDUAL_TOL``.
     """
     h = as_square_matrix(hamiltonian)
     residual = check_pt_symmetry(h, parity, time_reversal)
-    if not residual <= pt_tol:
-        raise NotPTSymmetricError(f"PT commutator residual {residual:.3e} exceeds {pt_tol:.1e}")
-    spectral = eigendecompose(h, reality_rtol)
+    if not residual <= PT_RESIDUAL_TOL:
+        raise NotPTSymmetricError(
+            f"PT commutator residual {residual:.3e} exceeds {PT_RESIDUAL_TOL:.1e}"
+        )
+    spectral = eigendecompose(h)
     failure = _exactness_failure(spectral.classification)
     if failure is not None:
         return ExactnessReport(False, None, failure)

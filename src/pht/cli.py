@@ -454,38 +454,39 @@ def build_parser() -> argparse.ArgumentParser:
         "two-level families, and norm evolution.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument(
+    rtol = argparse.ArgumentParser(add_help=False)
+    rtol.add_argument(
         "--rtol",
         type=_finite_float,
         default=None,
         help=f"reality tolerance for spectrum classification "
         f"(default: ${RTOL_ENV_VAR} or {REALITY_RTOL})",
     )
-    tol.add_argument(
+    pt = argparse.ArgumentParser(add_help=False)
+    pt.add_argument(
         "--atol",
         type=_finite_float,
         default=PT_RESIDUAL_TOL,
-        help=f"residual tolerance for symmetry checks (default {PT_RESIDUAL_TOL})",
+        help=f"PT-residual tolerance of the symmetry check (default {PT_RESIDUAL_TOL})",
     )
+    pt.add_argument("--parity", help="parity matrix document (default: identity)")
+    pt.add_argument("--tau", help="time-reversal linear part (default: identity)")
+    pt.add_argument("--require-exact", action="store_true", help="exit 3 unless the symmetry is exact")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[tol], help="classify a Hamiltonian and its symmetry")
+    p = sub.add_parser("analyze", parents=[rtol, pt], help="classify a Hamiltonian and its symmetry")
     p.add_argument("input", help="matrix document (JSON)")
-    p.add_argument("--parity", help="parity matrix document (default: identity)")
-    p.add_argument("--tau", help="time-reversal linear part (default: identity)")
-    p.add_argument("--require-exact", action="store_true", help="exit 3 unless the symmetry is exact")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("metric", parents=[tol], help="emit eta_plus, parity, charge, rho_plus")
+    p = sub.add_parser("metric", parents=[rtol], help="emit eta_plus, parity, charge, rho_plus")
     p.add_argument("input", help="matrix document (JSON)")
     p.set_defaults(func=cmd_metric)
 
-    p = sub.add_parser("hermitize", parents=[tol], help="emit the Hermitian partner rho H rho^-1")
+    p = sub.add_parser("hermitize", parents=[rtol], help="emit the Hermitian partner rho H rho^-1")
     p.add_argument("input", help="matrix document (JSON)")
     p.set_defaults(func=cmd_hermitize)
 
-    p = sub.add_parser("family", parents=[tol], help="closed-form two-level family bundles")
+    p = sub.add_parser("family", help="closed-form two-level family bundles")
     p.add_argument("kind", choices=["symmetric", "general", "general-t"])
     p.add_argument("--r", type=_finite_float, default=0.0)
     p.add_argument("--s", type=_finite_float, default=0.0)
@@ -502,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("evolve", parents=[tol], help="CSV norm trajectory of exp(-iHt) psi0")
+    p = sub.add_parser("evolve", parents=[rtol], help="CSV norm trajectory of exp(-iHt) psi0")
     p.add_argument("input", help="matrix document (JSON)")
     p.add_argument("--state", required=True, help="initial state document (JSON)")
     p.add_argument("--t0", type=_finite_float, default=0.0)
@@ -511,11 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm", choices=["euclidean", "metric"], default="euclidean")
     p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("check-pt", parents=[tol], help="PT-symmetry residual and exactness")
+    p = sub.add_parser("check-pt", parents=[rtol, pt], help="PT-symmetry residual and exactness")
     p.add_argument("input", help="matrix document (JSON)")
-    p.add_argument("--parity", help="parity matrix document (default: identity)")
-    p.add_argument("--tau", help="time-reversal linear part (default: identity)")
-    p.add_argument("--require-exact", action="store_true", help="exit 3 unless exact")
     p.set_defaults(func=cmd_check_pt)
 
     return parser

@@ -234,12 +234,7 @@ def _degenerate_clusters(eigenvalues: np.ndarray, matrix: np.ndarray) -> list[li
     return clusters
 
 
-def biorthonormalize(
-    matrix,
-    *,
-    normalization: str = "unit",
-    reality_rtol: float = REALITY_RTOL,
-) -> BiorthonormalSystem:
+def biorthonormalize(matrix, *, normalization: str = "unit") -> BiorthonormalSystem:
     """Build a biorthonormal eigensystem for a diagonalizable real-spectrum matrix.
 
     Parameters
@@ -262,7 +257,7 @@ def biorthonormalize(
     NotDiagonalizableError
         If the eigenvector matrix is near-singular.
     ComplexSpectrumError
-        If the spectrum is not real to within ``reality_rtol``.
+        If the spectrum is not real to within ``REALITY_RTOL``.
     ValueError
         If ``normalization`` names neither convention (checked before any
         other work), or if ``"transpose"`` meets a matrix that is not complex
@@ -272,7 +267,7 @@ def biorthonormalize(
     if normalization not in ("unit", "transpose"):
         raise ValueError(f"unknown normalization {normalization!r}")
     m = as_square_matrix(matrix)
-    return _biorthonormal(m, eigendecompose(m, reality_rtol), normalization, reality_rtol)
+    return _biorthonormal(m, eigendecompose(m), normalization, REALITY_RTOL)
 
 
 def _biorthonormal(

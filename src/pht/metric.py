@@ -30,7 +30,6 @@ from .errors import (
 )
 from .linalg import (
     HERMITICITY_RTOL,
-    REALITY_RTOL,
     WEIGHT_RCOND_LIMIT,
     BiorthonormalSystem,
     _real_if_real,
@@ -159,10 +158,11 @@ def verify_pseudo_hermiticity(hamiltonian, weight) -> float:
     return _relative_residual(h, lambda m: m.conj().T - w @ m @ w_inv)
 
 
-def hermitize(hamiltonian, metric: MetricOperator, *, tol: float = PSEUDO_HERMITICITY_TOL) -> np.ndarray:
+def hermitize(hamiltonian, metric: MetricOperator) -> np.ndarray:
     """Map ``H`` to its Hermitian partner ``h = rho_plus H rho_plus^{-1}``.
 
-    The partner is accepted when ``||h - h^dagger||_F / ||h||_F <= tol``.  With
+    The partner is accepted when ``||h - h^dagger||_F / ||h||_F`` is at most
+    ``PSEUDO_HERMITICITY_TOL``.  With
     ``eta_plus = rho_plus^2`` and ``rho_plus`` Hermitian,
     ``H^dagger - eta_plus H eta_plus^{-1} = rho_plus (h^dagger - h) rho_plus^{-1}``,
     so in exact arithmetic this is the pseudo-Hermiticity of ``H`` with respect
@@ -175,16 +175,16 @@ def hermitize(hamiltonian, metric: MetricOperator, *, tol: float = PSEUDO_HERMIT
     DimensionMismatchError
         If ``metric`` has another dimension than ``H``.
     NotPseudoHermitianError
-        If the partner's residual exceeds ``tol`` or is NaN.
+        If the partner's residual exceeds ``PSEUDO_HERMITICITY_TOL`` or is NaN.
     """
     h = as_square_matrix(hamiltonian)
     if h.shape[0] != metric.dim:
         raise DimensionMismatchError(f"hamiltonian dim {h.shape[0]} != metric dim {metric.dim}")
     partner = metric.rho_plus @ h @ metric.rho_plus_inv
     residual = _relative_residual(partner, lambda p: p - p.conj().T)
-    if not residual <= tol:
+    if not residual <= PSEUDO_HERMITICITY_TOL:
         raise NotPseudoHermitianError(
-            f"pseudo-Hermiticity residual {residual:.3e} exceeds {tol:.1e}"
+            f"pseudo-Hermiticity residual {residual:.3e} exceeds {PSEUDO_HERMITICITY_TOL:.1e}"
         )
     return partner
 
@@ -251,13 +251,9 @@ def inner_product(psi, phi, kind: InnerProductKind | None = None) -> complex:
     return complex(u.conj() @ kind.weight @ v)
 
 
-def metric_from_hamiltonian(
-    hamiltonian,
-    *,
-    normalization: str = "unit",
-    reality_rtol: float = REALITY_RTOL,
-) -> MetricOperator:
-    """Convenience composition: biorthonormalize ``H`` and build its metric."""
-    return build_eta_plus(
-        biorthonormalize(hamiltonian, normalization=normalization, reality_rtol=reality_rtol)
-    )
+def metric_from_hamiltonian(hamiltonian, *, normalization: str = "unit") -> MetricOperator:
+    """Convenience composition: biorthonormalize ``H`` and build its metric.
+
+    The spectrum must be real to within ``REALITY_RTOL``.
+    """
+    return build_eta_plus(biorthonormalize(hamiltonian, normalization=normalization))

@@ -337,7 +337,7 @@ def test_family_general_t_allow_broken_emits_the_hamiltonian(capsys):
     assert np.array_equal(h, u @ broken @ u.conj().T)
 
 
-FLOAT_FLAGS = ["--r", "--s", "--t", "--u", "--phi", "--gamma", "--xi", "--zeta", "--rtol", "--atol"]
+FLOAT_FLAGS = ["--r", "--s", "--t", "--u", "--phi", "--gamma", "--xi", "--zeta"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -901,6 +901,43 @@ def test_atol_flag_loosens_symmetry_check(tmp_path, capsys):
     assert not json.loads(out)["pt_symmetric"]
     rc, out, _ = run(capsys, ["check-pt", h_path, "--parity", p_path, "--atol", "1e-3"])
     assert json.loads(out)["pt_symmetric"]
+
+
+RTOL_COMMANDS = [["analyze"], ["metric"], ["hermitize"], ["evolve", "--state", "psi.json"], ["check-pt"]]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, "--rtol") for c in RTOL_COMMANDS] + [(["analyze"], "--atol"), (["check-pt"], "--atol")],
+    ids=[f"{c[0]}{f}" for c, f in [(c, "--rtol") for c in RTOL_COMMANDS]]
+    + ["analyze--atol", "check-pt--atol"],
+)
+def test_tolerance_flags_reject_non_finite_values(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], "h.json", *command[1:], f"{flag}={value}"])
+    assert exc.value.code == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and "expected a finite number" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "symmetric", "--s", "1", "--t", "2", "--atol", "1e-3"],
+        ["family", "symmetric", "--s", "1", "--t", "2", "--rtol", "1e-3"],
+        ["metric", "h.json", "--atol", "1e-3"],
+        ["hermitize", "h.json", "--atol", "1e-3"],
+        ["evolve", "h.json", "--state", "psi.json", "--atol", "1e-3"],
+    ],
+    ids=["family--atol", "family--rtol", "metric--atol", "hermitize--atol", "evolve--atol"],
+)
+def test_unread_tolerance_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {argv[-2]} 1e-3" in err
 
 
 def test_bad_flags_exit_2(capsys):
