@@ -18,10 +18,10 @@ from .linalg import (
     SIGMA3,
     SpectrumClass,
     _degenerate_clusters,
-    _norm_in_range,
     _pauli_exp,
     _relative_residual,
     _require_nonsingular,
+    _scaled_to_unit_peak,
     as_square_matrix,
     as_state_vector,
     eigendecompose,
@@ -138,9 +138,10 @@ def check_pt_symmetry(hamiltonian, parity, time_reversal: AntilinearOperator) ->
 
     ``[H, PT] = 0`` reads ``H P tau = P tau conj(H)`` on linear parts; the
     returned value is ``||H P tau - P tau conj(H)||_F / ||H||_F``.  It is
-    homogeneous of degree 1 in ``P`` and in ``tau``, so each is scaled into
-    range by a power of two and the residual scaled back: in-range operators
-    keep their bits, and only a residual that itself overflows reads ``inf``.
+    homogeneous of degree 1 in ``P`` and in ``tau``, so each is scaled to a
+    unit peak by a power of two and the residual scaled back: the product
+    ``P tau`` can neither overflow nor underflow, and only a residual that
+    itself leaves the double range reads ``inf`` or 0.
 
     Raises
     ------
@@ -153,8 +154,8 @@ def check_pt_symmetry(hamiltonian, parity, time_reversal: AntilinearOperator) ->
         raise DimensionMismatchError("hamiltonian, parity and time reversal dims must agree")
     _require_nonsingular(p, SingularParityError, "parity operator")
     with np.errstate(over="ignore", invalid="ignore"):
-        p, _, e_p = _norm_in_range(p)
-        tau, _, e_tau = _norm_in_range(time_reversal.tau)
+        p, e_p = _scaled_to_unit_peak(p)
+        tau, e_tau = _scaled_to_unit_peak(time_reversal.tau)
         lin = p @ tau
         residual = _relative_residual(h, lambda m: m @ lin - lin @ np.conj(m))
         return float(np.ldexp(residual, e_p + e_tau))

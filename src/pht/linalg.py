@@ -95,25 +95,36 @@ def _real_if_real(m: np.ndarray) -> np.ndarray:
     return m if m.imag.any() else m.real
 
 
-def _norm_in_range(m: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """``(m * 2**-e, ||m * 2**-e||_F, e)``, with ``e = 0`` when ``||m||_F`` is in range.
+def _scaled_to_unit_peak(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(m * 2**-e, e)``, ``e`` the binary exponent of the largest real or imaginary part.
 
-    Out of range (overflowing, underflowing or NaN), ``e`` is the binary
-    exponent of the largest real or imaginary part, so the scaled parts peak
-    in ``[0.5, 1)``.  A power of two scales exactly (subnormal parts aside),
-    so a ratio of norms that are homogeneous in ``m`` keeps the bits it has
-    wherever nothing overflows.  A zero ``m`` gives ``(m, 0.0, 0)``.  The plain
-    norm may overflow: callers run this under ``np.errstate``.
+    The scaled parts peak in ``[0.5, 1)``; a zero ``m`` gives ``(m, 0)``.  A
+    power of two scales exactly (subnormal parts aside), so a quantity
+    homogeneous in ``m`` keeps the bits it has wherever nothing overflows or
+    underflows.
     """
-    norm = float(np.linalg.norm(m))
-    if _PLAIN_NORM_RANGE[0] < norm < _PLAIN_NORM_RANGE[1]:
-        return m, norm, 0
     if not m.any():
-        return m, 0.0, 0
+        return m, 0
     e = int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
     scaled = np.ldexp(m.real, -e)
     if np.iscomplexobj(m):
         scaled = scaled + 1j * np.ldexp(m.imag, -e)
+    return scaled, e
+
+
+def _norm_in_range(m: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """``(m * 2**-e, ||m * 2**-e||_F, e)``, with ``e = 0`` when ``||m||_F`` is in range.
+
+    Out of range (overflowing, underflowing or NaN), ``m`` goes through
+    :func:`_scaled_to_unit_peak`, so a ratio of norms that are homogeneous in
+    ``m`` keeps the bits it has wherever nothing overflows.  A zero ``m``
+    gives ``(m, 0.0, 0)``.  The plain norm may overflow: callers run this
+    under ``np.errstate``.
+    """
+    norm = float(np.linalg.norm(m))
+    if _PLAIN_NORM_RANGE[0] < norm < _PLAIN_NORM_RANGE[1]:
+        return m, norm, 0
+    scaled, e = _scaled_to_unit_peak(m)
     return scaled, float(np.linalg.norm(scaled)), e
 
 
@@ -133,9 +144,15 @@ def _relative_residual(m: np.ndarray, residual_of) -> float:
     return float(np.linalg.norm(residual_of(m))) / norm
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _require_nonsingular(matrix: np.ndarray, error: type[PHTError], name: str) -> None:
-    """Raise ``error`` when ``sigma_min / sigma_max <= WEIGHT_RCOND_LIMIT``."""
-    sv = np.linalg.svd(_real_if_real(matrix), compute_uv=False)
+    """Raise ``error`` when ``sigma_min / sigma_max <= WEIGHT_RCOND_LIMIT``.
+
+    The operand is scaled by the power of two of :func:`_norm_in_range`
+    first, which leaves the ratio as it is and keeps ``sigma_max`` finite.
+    """
+    m, _, _ = _norm_in_range(matrix)
+    sv = np.linalg.svd(_real_if_real(m), compute_uv=False)
     if sv[-1] <= WEIGHT_RCOND_LIMIT * sv[0]:
         raise error(
             f"{name} is numerically singular: reciprocal condition number "

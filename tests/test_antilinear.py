@@ -2,7 +2,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pht.antilinear import (
@@ -171,6 +171,12 @@ def test_check_pt_symmetry_is_bit_identical_under_power_of_two_scaling(h, j):
 
 @settings(max_examples=100, deadline=None)
 @given(integer_grid_matrices(count=3), st.integers(-1000, 1000), st.integers(-1000, 1000))
+# P and tau each in range, their product's squared entries below the double range
+@example((np.diag([0.0, 0.0, 2.0**-10 * 1j]), 2.0**-229 * np.eye(3)[::-1],
+          np.diag([0.0, 0.0, 2.0**-299 * 1j])), 229, 299)
+# P and tau each in range, their product's squared entries above it
+@example((1j * np.array([[1.0, 2.0], [3.0, 4.0]]), 2.0**299 * np.eye(2), 2.0**299 * np.eye(2)),
+         -299, -299)
 def test_check_pt_symmetry_scales_with_the_parity_and_tau_bit_for_bit(matrices, j, k):
     # the residual is homogeneous of degree 1 in P and in tau; a residual
     # that overflows reads inf on both sides

@@ -446,6 +446,15 @@ def test_pt_residual_is_scaled_out_of_a_huge_parity(tmp_path, capsys):
     assert json.loads(out)["pt_residual"] == 0.0
 
 
+def test_a_huge_well_conditioned_parity_is_not_singular(tmp_path, capsys):
+    # cond(P) = 19, but the largest singular value of P overflows unless scaled
+    h_path = write_matrix(tmp_path, "h.json", [[1.0, 2.0], [2.0, 1.0]])
+    p_path = write_matrix(tmp_path, "p.json", [[1e308, 9e307], [9e307, 1e308]])
+    rc, out, err = run(capsys, ["check-pt", h_path, "--parity", p_path])
+    want = {"dim": 2, "pt_residual": 0.0, "pt_symmetric": True, "exact": True, "failure_reason": None}
+    assert (rc, out, err) == (EXIT_OK, emitted(want), "")
+
+
 def test_non_finite_result_exits_2_without_output(tmp_path, capsys):
     # ||H - conj(H)|| / ||H|| = 2 for an imaginary H, so with a parity of
     # norm 1e308 the PT residual itself overflows
