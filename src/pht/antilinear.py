@@ -185,17 +185,17 @@ def _exactness_failure(classification: SpectrumClass) -> str | None:
     return "complex_eigenvalues"
 
 
-def _pt_fix_cluster(columns: np.ndarray, pt_linear: np.ndarray) -> np.ndarray:
+def _pt_fix_cluster(columns: np.ndarray, chi: np.ndarray) -> np.ndarray:
     """Combine degenerate eigenvectors into PT-fixed ones.
 
-    For each basis vector the candidates ``psi + PT psi`` and
-    ``i (psi - PT psi)`` are both fixed points.  Fixed vectors form a real
-    vector space, so the leading ``k`` left singular vectors of the candidates,
-    taken as real vectors ``[Re; Im]``, are real combinations of fixed points:
-    fixed themselves, of unit norm, and a complex basis of the eigenspace.
+    ``chi`` holds the images ``PT psi`` of the ``columns``.  For each basis
+    vector the candidates ``psi + PT psi`` and ``i (psi - PT psi)`` are both
+    fixed points.  Fixed vectors form a real vector space, so the leading
+    ``k`` left singular vectors of the candidates, taken as real vectors
+    ``[Re; Im]``, are real combinations of fixed points: fixed themselves, of
+    unit norm, and a complex basis of the eigenspace.
     """
     d, k = columns.shape
-    chi = pt_linear @ np.conj(columns)
     candidates = np.concatenate([columns + chi, 1j * (columns - chi)], axis=1)
     u, _, _ = np.linalg.svd(np.concatenate([candidates.real, candidates.imag]), full_matrices=False)
     return u[:d, :k] + 1j * u[d:, :k]
@@ -228,15 +228,11 @@ def check_exactness(hamiltonian, parity, time_reversal: AntilinearOperator) -> E
     if failure is not None:
         return ExactnessReport(False, None, failure)
 
-    pt_linear = as_square_matrix(parity) @ time_reversal.tau
     v = spectral.eigenvectors
-    fixed = np.empty_like(v)
+    chi = as_square_matrix(parity) @ time_reversal.tau @ np.conj(v)
+    # arg <psi, PT psi> = arg N, since <psi, psi> is real and positive
+    fixed = v * np.exp(0.5j * np.angle(np.einsum("ij,ij->j", v.conj(), chi)))
     for cluster in _degenerate_clusters(spectral.eigenvalues.real, h):
-        if len(cluster) == 1:
-            psi = v[:, cluster[0]]
-            chi = pt_linear @ np.conj(psi)
-            factor = np.vdot(psi, chi) / np.vdot(psi, psi)
-            fixed[:, cluster[0]] = np.exp(0.5j * np.angle(factor)) * psi
-        else:
-            fixed[:, cluster] = _pt_fix_cluster(v[:, cluster], pt_linear)
+        if len(cluster) > 1:
+            fixed[:, cluster] = _pt_fix_cluster(v[:, cluster], chi[:, cluster])
     return ExactnessReport(True, fixed, None)
