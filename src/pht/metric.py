@@ -162,8 +162,8 @@ def hermitize(hamiltonian, metric: MetricOperator) -> np.ndarray:
     """Map ``H`` to its Hermitian partner ``h = rho_plus H rho_plus^{-1}``.
 
     The partner is accepted when ``||h - h^dagger||_F / ||h||_F`` is at most
-    ``PSEUDO_HERMITICITY_TOL``.  With
-    ``eta_plus = rho_plus^2`` and ``rho_plus`` Hermitian,
+    ``PSEUDO_HERMITICITY_TOL``.  With ``eta_plus = rho_plus^2`` and ``rho_plus``
+    Hermitian,
     ``H^dagger - eta_plus H eta_plus^{-1} = rho_plus (h^dagger - h) rho_plus^{-1}``,
     so in exact arithmetic this is the pseudo-Hermiticity of ``H`` with respect
     to ``eta_plus``.  Testing the partner decides on what the caller gets, and
@@ -252,8 +252,5 @@ def inner_product(psi, phi, kind: InnerProductKind | None = None) -> complex:
 
 
 def metric_from_hamiltonian(hamiltonian, *, normalization: str = "unit") -> MetricOperator:
-    """Convenience composition: biorthonormalize ``H`` and build its metric.
-
-    The spectrum must be real to within ``REALITY_RTOL``.
-    """
+    """Biorthonormalize ``H``, real in spectrum to within ``REALITY_RTOL``, and build its metric."""
     return build_eta_plus(biorthonormalize(hamiltonian, normalization=normalization))
