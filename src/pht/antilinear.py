@@ -207,10 +207,9 @@ def check_exactness(hamiltonian, parity, time_reversal: AntilinearOperator) -> E
     The symmetry is exact when every eigenvector can be rescaled to a ``PT``
     fixed point, which for an involutive antilinear symmetry happens exactly
     when the spectrum is real (to within ``REALITY_RTOL``) and the matrix
-    diagonalizable.  Nondegenerate
-    eigenvectors satisfy ``PT psi = N psi`` with ``|N| = 1``, so the phase
-    ``psi -> e^{i arg(N) / 2} psi`` fixes them; degenerate clusters are
-    handled by real-linear combination.
+    diagonalizable.  Nondegenerate eigenvectors satisfy ``PT psi = N psi``
+    with ``|N| = 1``, so the phase ``psi -> e^{i arg(N) / 2} psi`` fixes them;
+    degenerate clusters are handled by real-linear combination.
 
     Raises
     ------

@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--atol",
         type=_finite_float,
         default=PT_RESIDUAL_TOL,
-        help=f"PT-residual tolerance of the symmetry check (default {PT_RESIDUAL_TOL})",
+        help=f"residual tolerance for symmetry checks (default {PT_RESIDUAL_TOL})",
     )
     pt.add_argument("--parity", help="parity matrix document (default: identity)")
     pt.add_argument("--tau", help="time-reversal linear part (default: identity)")

@@ -164,16 +164,15 @@ def corpus():
     for argv in FAMILY_ARGV:
         yield f"family/{' '.join(argv[1:])}", argv, {}
 
-    psi = {"psi.json": state_doc([1.0, 0.0])}
-    h = {"H.json": matrix_doc([[2.0, 1.0j], [1.0j, -2.0]]), **psi}
+    docs = {"H.json": matrix_doc([[2.0, 1.0j], [1.0j, -2.0]]), "psi.json": state_doc([1.0, 0.0])}
     for argv in (["metric", "H.json"], ["hermitize", "H.json"],
                  ["evolve", "H.json", "--state", "psi.json", "--steps", "20"]):
-        yield f"tolerance-flag/{argv[0]} --atol", [*argv, "--atol", "1e-3"], h
+        yield f"tolerance-flag/{argv[0]} --atol", [*argv, "--atol", "1e-3"], docs
 
 
-def replay(argv, out, err) -> tuple:
+def replay(argv) -> tuple:
     """``(exit code, stdout, stderr)`` of ``main(argv)``; numpy's warnings join stderr."""
-    out.seek(0), out.truncate(), err.seek(0), err.truncate()
+    out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -196,11 +195,11 @@ def replay_all(monkeypatch) -> list:
     monkeypatch.setattr(cli, "build_parser", lambda: parser)
     documents = {}
     monkeypatch.setattr(cli, "_load_document", documents.__getitem__)
-    records, out, err = [], io.StringIO(), io.StringIO()
+    records = []
     for case_id, argv, docs in corpus():
         documents.clear()
         documents.update(docs)
-        rc, stdout, stderr = replay(argv, out, err)
+        rc, stdout, stderr = replay(argv)
         records.append({"id": case_id, "argv": list(argv), "rc": rc,
                         "stdout_sha256": hashlib.sha256(stdout.encode("utf-8")).hexdigest(),
                         "stderr": stderr})
