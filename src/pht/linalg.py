@@ -11,6 +11,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -103,13 +104,12 @@ def _scaled_to_unit_peak(m: np.ndarray) -> tuple[np.ndarray, int]:
     homogeneous in ``m`` keeps the bits it has wherever nothing overflows or
     underflows.
     """
-    if not m.any():
+    parts = np.ascontiguousarray(m).view(float) if np.iscomplexobj(m) else m
+    peak = float(np.abs(parts).max())
+    if peak == 0.0:
         return m, 0
-    e = int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
-    scaled = np.ldexp(m.real, -e)
-    if np.iscomplexobj(m):
-        scaled = scaled + 1j * np.ldexp(m.imag, -e)
-    return scaled, e
+    e = math.frexp(peak)[1]
+    return np.ldexp(parts, -e).view(m.dtype), e
 
 
 def _norm_in_range(m: np.ndarray) -> tuple[np.ndarray, float, int]:
