@@ -33,7 +33,7 @@ from .errors import (
     NonFiniteError,
     PHTError,
 )
-from .evolution import EvolutionSpec, _norm_trajectory
+from .evolution import EvolutionSpec, _norm_trajectory, norm_trajectory
 from .families import (
     GeneralFamilyParams,
     SymmetricFamilyParams,
@@ -267,23 +267,20 @@ def _reality_rtol(args) -> float:
     return REALITY_RTOL
 
 
-def _canonical_system(matrix: np.ndarray, reality_rtol: float, spectral=None):
+def _canonical_system(matrix: np.ndarray, spectral):
     """Biorthonormalize with the transpose convention when it applies.
 
     Complex symmetric input with nondegenerate real spectrum gets the
     transpose normalization, under which the emitted metric bundle matches
     the closed-form two-level operators; anything else uses the default
-    unit-norm convention.  Both attempts share one decomposition:
-    ``spectral`` when the caller already has ``eigendecompose(matrix,
-    reality_rtol)``.
+    unit-norm convention.  Both attempts share the decomposition
+    ``spectral`` of ``matrix`` and its reality tolerance.
     """
-    if spectral is None:
-        spectral = eigendecompose(matrix, reality_rtol)
     try:
-        return _biorthonormal(matrix, spectral, "transpose", reality_rtol)
+        return _biorthonormal(matrix, spectral, "transpose")
     except ValueError:
         # not complex symmetric, degenerate or self-orthogonal
-        return _biorthonormal(matrix, spectral, "unit", reality_rtol)
+        return _biorthonormal(matrix, spectral, "unit")
 
 
 def _pt_verdict(args, h: np.ndarray, spectral=None):
@@ -331,7 +328,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_metric(args) -> int:
     h = _load_matrix(args.input)
-    system = _canonical_system(h, _reality_rtol(args))
+    system = _canonical_system(h, eigendecompose(h, _reality_rtol(args)))
     metric = build_eta_plus(system)
     _emit(
         {
@@ -347,7 +344,7 @@ def cmd_metric(args) -> int:
 
 def cmd_hermitize(args) -> int:
     h = _load_matrix(args.input)
-    system = _canonical_system(h, _reality_rtol(args))
+    system = _canonical_system(h, eigendecompose(h, _reality_rtol(args)))
     metric = build_eta_plus(system)
     _emit(matrix_document(hermitize(h, metric)))
     return EXIT_OK
@@ -411,18 +408,17 @@ def cmd_evolve(args) -> int:
         spec = EvolutionSpec(h, psi0, t0=args.t0, t1=args.t1, steps=args.steps)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    # One decomposition serves the metric and the propagation.  The propagator
-    # reads no reality verdict, so the Euclidean norm consults no tolerance.
+    # The propagator reads no reality verdict, so the Euclidean norm consults
+    # no tolerance; the metric norm's one decomposition, made with --rtol,
+    # serves the metric and the propagation.
     if args.norm == "metric":
-        rtol = _reality_rtol(args)
-        spectral = eigendecompose(h, rtol)
+        spectral = eigendecompose(h, _reality_rtol(args))
         # Use the same canonical normalization as `metric`/`hermitize` so the
         # conserved value matches the closed-form bundle for family inputs.
-        ip = InnerProductKind.metric_eta(_positive_metric(_canonical_system, h, rtol, spectral))
+        ip = InnerProductKind.metric_eta(_positive_metric(_canonical_system, h, spectral))
+        trajectory = _norm_trajectory(spec, ip, spectral)
     else:
-        spectral = eigendecompose(h)
-        ip = InnerProductKind.euclidean()
-    trajectory = _norm_trajectory(spec, ip, spectral)
+        trajectory = norm_trajectory(spec, "euclidean")
     out = sys.stdout
     out.write("t,norm\n")
     for t, n in zip(trajectory.times, trajectory.norms):

@@ -18,7 +18,6 @@ from .errors import (
     OutOfRangeError,
 )
 from .linalg import (
-    REALITY_RTOL,
     SpectralData,
     SpectrumClass,
     _biorthonormal,
@@ -180,7 +179,7 @@ def norm_trajectory(spec: EvolutionSpec, kind="euclidean") -> NormTrajectory:
     if kind == "euclidean":
         ip = InnerProductKind.euclidean()
     elif kind == "metric":
-        metric = _positive_metric(_biorthonormal, h, spectral, "unit", REALITY_RTOL)
+        metric = _positive_metric(_biorthonormal, h, spectral, "unit")
         ip = InnerProductKind.metric_eta(metric)
     else:
         ip = kind

@@ -38,10 +38,10 @@ HERMITICITY_RTOL = 1e-10
 # Relative reciprocal condition number below which a weight or parity
 # operator is treated as singular.
 WEIGHT_RCOND_LIMIT = 1e-13
-# Frobenius norms strictly inside this range are used as computed: their sums
-# of squares neither overflow nor underflow, with headroom for a residual of
-# larger norm.  An operand outside it is first scaled by a power of two.
-_PLAIN_NORM_RANGE = (2.0**-300, 2.0**300)
+# Frobenius norms strictly inside this range are used as computed: a product
+# of three operands in range, and its sum of squares, stay normal.  An operand
+# outside it is first scaled by a power of two.
+_PLAIN_NORM_RANGE = (2.0**-100, 2.0**100)
 
 IDENTITY2 = np.eye(2, dtype=complex)
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -96,35 +96,27 @@ def _real_if_real(m: np.ndarray) -> np.ndarray:
     return m if m.imag.any() else m.real
 
 
-def _scaled_to_unit_peak(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(m * 2**-e, e)``, ``e`` the binary exponent of the largest real or imaginary part.
-
-    The scaled parts peak in ``[0.5, 1)``; a zero ``m`` gives ``(m, 0)``.  A
-    power of two scales exactly (subnormal parts aside), so a quantity
-    homogeneous in ``m`` keeps the bits it has wherever nothing overflows or
-    underflows.
-    """
-    parts = np.ascontiguousarray(m).view(float) if np.iscomplexobj(m) else m
-    peak = float(np.abs(parts).max())
-    if peak == 0.0:
-        return m, 0
-    e = math.frexp(peak)[1]
-    return np.ldexp(parts, -e).view(m.dtype), e
-
-
 def _norm_in_range(m: np.ndarray) -> tuple[np.ndarray, float, int]:
     """``(m * 2**-e, ||m * 2**-e||_F, e)``, with ``e = 0`` when ``||m||_F`` is in range.
 
-    Out of range (overflowing, underflowing or NaN), ``m`` goes through
-    :func:`_scaled_to_unit_peak`, so a ratio of norms that are homogeneous in
-    ``m`` keeps the bits it has wherever nothing overflows.  A zero ``m``
-    gives ``(m, 0.0, 0)``.  The plain norm may overflow: callers run this
-    under ``np.errstate``.
+    The one scaling rule of the package.  Out of range (overflowing,
+    underflowing or NaN), ``e`` is the binary exponent of the largest real or
+    imaginary part of ``m``, so the scaled parts peak in ``[0.5, 1)``.  A power
+    of two scales exactly (subnormal parts aside), so a quantity homogeneous in
+    ``m`` keeps the bits it has wherever nothing overflows or underflows.  An
+    operand in range is returned as it is, not copied.  A zero ``m`` gives
+    ``(m, 0.0, 0)``.
     """
-    norm = float(np.linalg.norm(m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(m))
     if _PLAIN_NORM_RANGE[0] < norm < _PLAIN_NORM_RANGE[1]:
         return m, norm, 0
-    scaled, e = _scaled_to_unit_peak(m)
+    parts = np.ascontiguousarray(m).view(float) if np.iscomplexobj(m) else m
+    peak = float(np.abs(parts).max())
+    if peak == 0.0:
+        return m, 0.0, 0
+    e = math.frexp(peak)[1]
+    scaled = np.ldexp(parts, -e).view(m.dtype)
     return scaled, float(np.linalg.norm(scaled)), e
 
 
@@ -144,7 +136,6 @@ def _relative_residual(m: np.ndarray, residual_of) -> float:
     return float(np.linalg.norm(residual_of(m))) / norm
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _require_nonsingular(matrix: np.ndarray, error: type[PHTError], name: str) -> None:
     """Raise ``error`` when ``sigma_min / sigma_max <= WEIGHT_RCOND_LIMIT``.
 
@@ -176,12 +167,16 @@ class SpectralData:
     classification : SpectrumClass
         ``REAL_DIAGONALIZABLE``, ``CONJUGATE_PAIRS`` (complex eigenvalues
         present) or ``NEAR_DEFECTIVE``.
+    reality_rtol : float
+        The relative tolerance that decided ``classification``: an eigenvalue
+        ``w`` counts as real when ``|Im w| <= reality_rtol * (1 + |w|)``.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     eigvec_condition: float
     classification: SpectrumClass
+    reality_rtol: float
 
 
 def eigendecompose(matrix, reality_rtol: float = REALITY_RTOL) -> SpectralData:
@@ -204,7 +199,7 @@ def eigendecompose(matrix, reality_rtol: float = REALITY_RTOL) -> SpectralData:
         cls = SpectrumClass.REAL_DIAGONALIZABLE
     else:
         cls = SpectrumClass.CONJUGATE_PAIRS
-    return SpectralData(w, v, cond, cls)
+    return SpectralData(w, v, cond, cls, reality_rtol)
 
 
 @dataclass(frozen=True)
@@ -230,7 +225,6 @@ class BiorthonormalSystem:
         return float(np.linalg.norm(d))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _degenerate_clusters(eigenvalues: np.ndarray, matrix: np.ndarray) -> list[list[int]]:
     """Group indices of (sorted) real eigenvalues of ``matrix`` into degenerate clusters.
 
@@ -284,16 +278,15 @@ def biorthonormalize(matrix, *, normalization: str = "unit") -> BiorthonormalSys
     if normalization not in ("unit", "transpose"):
         raise ValueError(f"unknown normalization {normalization!r}")
     m = as_square_matrix(matrix)
-    return _biorthonormal(m, eigendecompose(m), normalization, REALITY_RTOL)
+    return _biorthonormal(m, eigendecompose(m), normalization)
 
 
-def _biorthonormal(
-    m: np.ndarray, spectral: SpectralData, normalization: str, reality_rtol: float
-) -> BiorthonormalSystem:
+def _biorthonormal(m: np.ndarray, spectral: SpectralData, normalization: str) -> BiorthonormalSystem:
     """:func:`biorthonormalize` of the validated ``m`` from its decomposition ``spectral``.
 
     ``normalization`` must be ``"unit"`` or ``"transpose"``, and ``spectral``
-    must come from ``eigendecompose(m, reality_rtol)``.  Callers that try both
+    must decompose ``m``; a complex spectrum is reported against the
+    ``spectral.reality_rtol`` that classified it.  Callers that try both
     conventions pass one decomposition to each attempt.
     """
     if normalization == "transpose" and not _relative_residual(m, lambda a: a - a.T) <= HERMITICITY_RTOL:
@@ -305,7 +298,7 @@ def _biorthonormal(
         )
     if spectral.classification is SpectrumClass.CONJUGATE_PAIRS:
         w = spectral.eigenvalues
-        bound = reality_rtol * (1.0 + np.abs(w))
+        bound = spectral.reality_rtol * (1.0 + np.abs(w))
         k = int(np.argmax(np.abs(w.imag) - bound))
         raise ComplexSpectrumError(
             f"matrix has complex eigenvalues; |Im w| = {abs(w[k].imag):.3e} exceeds its "

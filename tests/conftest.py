@@ -1,6 +1,8 @@
-"""Shared helpers: random diagonalizable matrices with real spectra, and an eig recorder."""
+"""Shared helpers: random diagonalizable matrices with real spectra, integer-grid
+matrices that scale exactly by powers of two, and an eig recorder."""
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 
 @pytest.fixture
@@ -36,3 +38,23 @@ def random_exact_symmetric_params(rng, margin=0.95):
     t = rng.uniform(0.3, 3.0)
     s = rng.uniform(-margin, margin) * t
     return rng.uniform(-2.0, 2.0), s, t, rng.uniform(0.0, 2.0 * np.pi)
+
+
+def integer_grid_matrices(max_dim=4, count=1):
+    """Complex matrices whose parts are multiples of 2^-10 below 2^10 in modulus.
+
+    Scaling one by ``2**j`` for ``|j| <= 1000`` neither overflows nor leaves
+    the normal range, so it is exact.  With ``count > 1``, a tuple of that
+    many matrices of one dimension.
+    """
+    def build(dim):
+        size = 2 * count * dim * dim
+        parts = st.lists(st.integers(-(2**20), 2**20), min_size=size, max_size=size)
+        return parts.map(lambda v: np.ldexp(np.reshape(v, (count, 2, dim, dim)).astype(float), -10))
+
+    matrices = st.integers(2, max_dim).flatmap(build).map(lambda p: p[:, 0] + 1j * p[:, 1])
+    return matrices.map(lambda m: m[0]) if count == 1 else matrices.map(tuple)
+
+
+def scale_by_power_of_two(m, j):
+    return np.ldexp(m.real, j) + 1j * np.ldexp(m.imag, j)

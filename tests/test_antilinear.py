@@ -27,7 +27,7 @@ from pht.families import (
 )
 from pht.linalg import EIGVEC_CONDITION_LIMIT, SIGMA2, SIGMA3
 
-from conftest import random_exact_symmetric_params
+from conftest import integer_grid_matrices, random_exact_symmetric_params, scale_by_power_of_two
 
 ATOL = 1e-12
 
@@ -138,26 +138,6 @@ def test_check_pt_symmetry_validation():
     with pytest.raises(DimensionMismatchError):
         check_pt_symmetry(np.eye(3), np.eye(3), conj)
     assert check_pt_symmetry(np.zeros((2, 2)), np.eye(2), conj) == 0.0
-
-
-def integer_grid_matrices(max_dim=4, count=1):
-    """Complex matrices whose parts are multiples of 2^-10 below 2^10 in modulus.
-
-    Scaling one by ``2**j`` for ``|j| <= 1000`` neither overflows nor leaves
-    the normal range, so it is exact.  With ``count > 1``, a tuple of that
-    many matrices of one dimension.
-    """
-    def build(dim):
-        size = 2 * count * dim * dim
-        parts = st.lists(st.integers(-(2**20), 2**20), min_size=size, max_size=size)
-        return parts.map(lambda v: np.ldexp(np.reshape(v, (count, 2, dim, dim)).astype(float), -10))
-
-    matrices = st.integers(2, max_dim).flatmap(build).map(lambda p: p[:, 0] + 1j * p[:, 1])
-    return matrices.map(lambda m: m[0]) if count == 1 else matrices.map(tuple)
-
-
-def scale_by_power_of_two(m, j):
-    return np.ldexp(m.real, j) + 1j * np.ldexp(m.imag, j)
 
 
 @settings(max_examples=100, deadline=None)

@@ -861,6 +861,16 @@ def test_reality_rtol_env_and_flag(tmp_path, capsys, monkeypatch):
     assert rc == EXIT_INPUT
 
 
+def test_metric_reports_the_reality_bound_of_its_rtol(tmp_path, capsys):
+    # eigenvalues 1 +- 1e-3 i; the bound is 1e-6 * (1 + |w|), and the verdict
+    # and the message come from the one tolerance that --rtol set
+    path = write_matrix(tmp_path, "h.json", [[1.0, 1e-3], [-1e-3, 1.0]])
+    rc, out, err = run(capsys, ["metric", path, "--rtol", "1e-6"])
+    assert (rc, out) == (EXIT_SYMMETRY, "")
+    assert err.startswith("error: ComplexSpectrumError: ")
+    assert "|Im w| = 1.000e-03 exceeds its reality bound 2.000e-06;" in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_reality_rtol_env_exits_2(tmp_path, capsys, monkeypatch, value):
     path = write_matrix(tmp_path, "h.json", np.diag([1.0, 2.0]))

@@ -15,6 +15,7 @@ from pht.errors import (
 from pht.linalg import (
     IDENTITY2,
     PAULI,
+    REALITY_RTOL,
     SIGMA1,
     SIGMA2,
     SIGMA3,
@@ -89,10 +90,11 @@ def test_eigendecompose_classification():
 def test_eigendecompose_reality_tolerance_is_relative():
     h = np.diag([1.0, 2.0 + 1e-12j])
     assert eigendecompose(h).classification is SpectrumClass.REAL_DIAGONALIZABLE
-    assert (
-        eigendecompose(h, reality_rtol=1e-15).classification
-        is SpectrumClass.CONJUGATE_PAIRS
-    )
+    strict = eigendecompose(h, reality_rtol=1e-15)
+    assert strict.classification is SpectrumClass.CONJUGATE_PAIRS
+    # the decomposition records the tolerance that classified it
+    assert strict.reality_rtol == 1e-15
+    assert eigendecompose(h).reality_rtol == REALITY_RTOL
 
 
 def test_biorthonormalize_duality_and_completeness():

@@ -2,7 +2,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pht.errors import (
@@ -14,7 +14,7 @@ from pht.errors import (
     SingularWeightError,
 )
 from pht.families import SymmetricFamilyParams, symmetric_hamiltonian, symmetric_operators
-from pht.linalg import biorthonormalize, eigendecompose
+from pht.linalg import SIGMA3, biorthonormalize, eigendecompose
 from pht.metric import (
     InnerProductKind,
     MetricOperator,
@@ -28,7 +28,7 @@ from pht.metric import (
     verify_pseudo_hermiticity,
 )
 
-from conftest import random_similarity
+from conftest import integer_grid_matrices, random_similarity, scale_by_power_of_two
 
 ATOL = 1e-12
 INVARIANT_ATOL = 1e-10
@@ -104,6 +104,18 @@ def test_verify_pseudo_hermiticity_basics():
         verify_pseudo_hermiticity(h, np.diag([1.0, 0.0]))
     with pytest.raises(DimensionMismatchError):
         verify_pseudo_hermiticity(h, np.eye(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_grid_matrices(count=2), st.integers(-1000, 1000))
+# sigma_3-pseudo-Hermitian, with a weight whose unscaled product overflows
+@example((np.array([[1.0, 2.0], [-2.0, 1.0]]), SIGMA3), 1023)
+def test_verify_pseudo_hermiticity_is_bit_identical_under_power_of_two_weight_scaling(matrices, j):
+    # the residual is homogeneous of degree 0 in W
+    h, weight = matrices
+    assume(np.linalg.cond(weight) < 1e12)
+    scaled = verify_pseudo_hermiticity(h, scale_by_power_of_two(weight, j))
+    assert scaled == verify_pseudo_hermiticity(h, weight)
 
 
 def test_hermitize_family_golden():
