@@ -75,10 +75,8 @@ class InvolutionCheck:
     unitarity_residual: float
 
 
-def is_hermitian_antilinear_involution(
-    operator: AntilinearOperator, atol: float = INVOLUTION_ATOL
-) -> InvolutionCheck:
-    """Test ``tau^T = tau`` and ``tau^dagger tau = 1`` to tolerance.
+def is_hermitian_antilinear_involution(operator: AntilinearOperator) -> InvolutionCheck:
+    """Test ``tau^T = tau`` and ``tau^dagger tau = 1`` to within ``INVOLUTION_ATOL``.
 
     Both must hold for the antilinear map to be Hermitian and square to
     ``+1``.  A unitary but antisymmetric ``tau`` (e.g. ``sigma_2``) gives
@@ -87,7 +85,7 @@ def is_hermitian_antilinear_involution(
     tau = operator.tau
     sym = _relative_residual(tau, lambda t: t.T - t)
     uni = float(np.linalg.norm(tau.conj().T @ tau - np.eye(operator.dim)))
-    return InvolutionCheck(sym <= atol and uni <= atol, sym, uni)
+    return InvolutionCheck(sym <= INVOLUTION_ATOL and uni <= INVOLUTION_ATOL, sym, uni)
 
 
 @dataclass(frozen=True)
@@ -138,11 +136,11 @@ def check_pt_symmetry(hamiltonian, parity, time_reversal: AntilinearOperator) ->
 
     ``[H, PT] = 0`` reads ``H P tau = P tau conj(H)`` on linear parts; the
     returned value is ``||H P tau - P tau conj(H)||_F / ||H||_F``.  It is
-    homogeneous of degree 1 in ``P`` and in ``tau``, so each goes through
-    :func:`~pht.linalg._norm_in_range` and the residual is scaled back by
-    their powers of two: the product ``H P tau`` can neither overflow nor
-    underflow, and only a residual that itself leaves the double range reads
-    ``inf`` or 0.
+    homogeneous of degree 1 in ``P`` and in ``tau``, so each goes once through
+    :func:`~pht.linalg._norm_in_range` (``P`` in the singularity gate) and the
+    residual is scaled back by their powers of two: the product ``H P tau``
+    can neither overflow nor underflow, and only a residual that itself leaves
+    the double range reads ``inf`` or 0.
 
     Raises
     ------
@@ -153,9 +151,8 @@ def check_pt_symmetry(hamiltonian, parity, time_reversal: AntilinearOperator) ->
     p = as_square_matrix(parity)
     if h.shape != p.shape or p.shape[0] != time_reversal.dim:
         raise DimensionMismatchError("hamiltonian, parity and time reversal dims must agree")
-    p, _, e_p = _norm_in_range(p)
+    p, e_p = _require_nonsingular(p, SingularParityError, "parity operator")
     tau, _, e_tau = _norm_in_range(time_reversal.tau)
-    _require_nonsingular(p, SingularParityError, "parity operator")
     lin = p @ tau
     residual = _relative_residual(h, lambda m: m @ lin - lin @ np.conj(m))
     with np.errstate(over="ignore"):

@@ -136,19 +136,20 @@ def _relative_residual(m: np.ndarray, residual_of) -> float:
     return float(np.linalg.norm(residual_of(m))) / norm
 
 
-def _require_nonsingular(matrix: np.ndarray, error: type[PHTError], name: str) -> None:
-    """Raise ``error`` when ``sigma_min / sigma_max <= WEIGHT_RCOND_LIMIT``.
+def _require_nonsingular(matrix: np.ndarray, error: type[PHTError], name: str) -> tuple[np.ndarray, int]:
+    """``(matrix * 2**-e, e)`` of :func:`_norm_in_range`, or ``error`` when singular.
 
-    The operand is scaled by the power of two of :func:`_norm_in_range`
-    first, which leaves the ratio as it is and keeps ``sigma_max`` finite.
+    Singular means ``sigma_min / sigma_max <= WEIGHT_RCOND_LIMIT``, taken on the
+    scaled operand, which leaves the ratio as it is and keeps ``sigma_max`` finite.
     """
-    m, _, _ = _norm_in_range(matrix)
+    m, _, e = _norm_in_range(matrix)
     sv = np.linalg.svd(_real_if_real(m), compute_uv=False)
     if sv[-1] <= WEIGHT_RCOND_LIMIT * sv[0]:
         raise error(
             f"{name} is numerically singular: reciprocal condition number "
             f"{sv[-1] / max(sv[0], 1e-300):.3e} <= {WEIGHT_RCOND_LIMIT:.1e}"
         )
+    return m, e
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from .linalg import (
     HERMITICITY_RTOL,
     WEIGHT_RCOND_LIMIT,
     BiorthonormalSystem,
-    _norm_in_range,
     _real_if_real,
     _relative_residual,
     _require_nonsingular,
@@ -143,9 +142,9 @@ def build_charge_conjugation(system: BiorthonormalSystem) -> np.ndarray:
 def verify_pseudo_hermiticity(hamiltonian, weight) -> float:
     """Relative residual ``||H^dagger - W H W^{-1}||_F / ||H||_F``.
 
-    The residual does not change under ``W -> c W``, so ``W`` goes through
-    :func:`~pht.linalg._norm_in_range` first: a power of two ``2**j W`` gives
-    the same bits as ``W``, and a weight near the double range no overflow.
+    The residual does not change under ``W -> c W``, so ``W`` is used as the
+    singularity gate scales it: a power of two ``2**j W`` gives the same bits
+    as ``W``, and a weight near the double range no overflow.
 
     Raises
     ------
@@ -155,10 +154,10 @@ def verify_pseudo_hermiticity(hamiltonian, weight) -> float:
         If the operands have different dimensions.
     """
     h = as_square_matrix(hamiltonian)
-    w, _, _ = _norm_in_range(as_square_matrix(weight))
+    w = as_square_matrix(weight)
     if h.shape != w.shape:
         raise DimensionMismatchError(f"operator shapes differ: {h.shape} vs {w.shape}")
-    _require_nonsingular(w, SingularWeightError, "weight operator")
+    w, _ = _require_nonsingular(w, SingularWeightError, "weight operator")
     w_inv = np.linalg.inv(_real_if_real(w)).astype(complex, copy=False)
     return _relative_residual(h, lambda m: m.conj().T - w @ m @ w_inv)
 
