@@ -28,6 +28,8 @@ from .linalg import (
 )
 from .metric import InnerProductKind, _positive_metric
 
+# Leading fraction of the time window that fit_growth_rate leaves out.
+GROWTH_FIT_SKIP = 0.4
 # Complex entries per propagated block of the time grid (4 MiB), which bounds
 # the memory of a trajectory whatever its number of steps.
 _BLOCK_ENTRIES = 2**18
@@ -59,8 +61,8 @@ class EvolutionSpec:
             raise NonFiniteError(f"time window [t0, t1] = [{self.t0}, {self.t1}] is not finite")
         if not self.t1 > self.t0:
             raise ValueError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
+            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
         for name, array in (("hamiltonian", h), ("initial_state", psi)):
             array = array.copy()
             array.flags.writeable = False
@@ -169,21 +171,19 @@ def norm_trajectory(spec: EvolutionSpec, kind="euclidean") -> NormTrajectory:
         If ``"metric"`` is requested for a Hamiltonian in the broken regime
         (complex spectrum or near-defective): no positive metric exists.
     """
-    h, d = spec.hamiltonian, spec.initial_state.shape[0]
-    if isinstance(kind, InnerProductKind):
-        if kind.weight is not None and kind.weight.shape[0] != d:
-            raise DimensionMismatchError(f"weight dim {kind.weight.shape[0]} != state dim {d}")
-    elif kind not in ("euclidean", "metric"):
-        raise ValueError(f"unknown norm kind {kind!r}")
-    spectral = spec._spectral
+    d = spec.initial_state.shape[0]
     if kind == "euclidean":
         ip = InnerProductKind.euclidean()
     elif kind == "metric":
-        metric = _positive_metric(_biorthonormal, h, spectral, "unit")
+        metric = _positive_metric(_biorthonormal, spec.hamiltonian, spec._spectral, "unit")
         ip = InnerProductKind.metric_eta(metric)
+    elif not isinstance(kind, InnerProductKind):
+        raise ValueError(f"unknown norm kind {kind!r}")
+    elif kind.weight is not None and kind.weight.shape[0] != d:
+        raise DimensionMismatchError(f"weight dim {kind.weight.shape[0]} != state dim {d}")
     else:
         ip = kind
-    return _norm_trajectory(spec, ip, spectral)
+    return _norm_trajectory(spec, ip, spec._spectral)
 
 
 def _norm_trajectory(spec: EvolutionSpec, ip: InnerProductKind, spectral: SpectralData) -> NormTrajectory:
@@ -201,17 +201,15 @@ def _norm_trajectory(spec: EvolutionSpec, ip: InnerProductKind, spectral: Spectr
     return NormTrajectory(times, np.concatenate(norms), ip.label)
 
 
-def fit_growth_rate(trajectory: NormTrajectory, skip_fraction: float = 0.4) -> float:
+def fit_growth_rate(trajectory: NormTrajectory) -> float:
     """Least-squares exponent of ``norm ~ exp(rate * t)`` over the tail.
 
-    The first ``skip_fraction`` of the window is dropped so that a decaying
+    The first ``GROWTH_FIT_SKIP`` of the window is dropped so that a decaying
     mode has died out before the fit; the slope of ``log norm`` against ``t``
     over the remainder is returned.
     """
-    if not 0.0 <= skip_fraction < 1.0:
-        raise ValueError("skip_fraction must lie in [0, 1)")
     t = trajectory.times
-    cut = t[0] + skip_fraction * (t[-1] - t[0])
+    cut = t[0] + GROWTH_FIT_SKIP * (t[-1] - t[0])
     mask = t >= cut
     if np.count_nonzero(mask) < 2 or np.any(trajectory.norms[mask] <= 0.0):
         raise ValueError("not enough positive samples in the fit window")
