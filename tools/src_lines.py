@@ -9,6 +9,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pht"
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def counts(path: Path) -> tuple[int, int]:
@@ -16,11 +17,9 @@ def counts(path: Path) -> tuple[int, int]:
     lines = text.splitlines()
     docstring = set()
     for node in ast.walk(ast.parse(text)):
-        body = getattr(node, "body", None)
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and body:
-            first = body[0]
-            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
-                docstring.update(range(first.lineno, first.end_lineno + 1))
+        if isinstance(node, DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+            first = node.body[0]
+            docstring.update(range(first.lineno, first.end_lineno + 1))
     code = sum(
         1
         for n, line in enumerate(lines, 1)
