@@ -64,13 +64,13 @@ def as_square_matrix(matrix) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the input is not a two-dimensional square array.
+        If the input is not a non-empty two-dimensional square array.
     NonFiniteError
         If any entry is NaN or infinite.
     """
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise NonFiniteError("matrix contains non-finite entries")
     return m
@@ -120,15 +120,13 @@ def _norm_in_range(m: np.ndarray) -> tuple[np.ndarray, float, int]:
     return scaled, float(np.linalg.norm(scaled)), e
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _relative_residual(m: np.ndarray, residual_of) -> float:
     """``||residual_of(m)||_F / ||m||_F``, and 0 for a zero ``m``.
 
     The one relative-residual test of the package.  ``residual_of`` must be
     real-linear in ``m`` (a commutator, ``m - m^T``, ``m - m^dagger``), so it
-    may receive ``m`` scaled by :func:`_norm_in_range`.  numpy prints no
-    warning: an overflow or NaN in the other operands yields an infinite or
-    NaN ratio, which gates refuse by testing ``not residual <= tol``.
+    may receive ``m`` scaled by :func:`_norm_in_range`.  Its other operands
+    must be in range too, as every caller scales them by the same rule.
     """
     m, norm, _ = _norm_in_range(m)
     if norm == 0.0:

@@ -32,6 +32,7 @@ from .linalg import (
     HERMITICITY_RTOL,
     WEIGHT_RCOND_LIMIT,
     BiorthonormalSystem,
+    _norm_in_range,
     _real_if_real,
     _relative_residual,
     _require_nonsingular,
@@ -174,23 +175,29 @@ def hermitize(hamiltonian, metric: MetricOperator) -> np.ndarray:
     it needs no inverse of ``eta_plus``, whose roundoff grows with
     ``cond(eta_plus)``.
 
+    The partner is homogeneous of degree 1 in ``H``, so it is formed by
+    :func:`map_observable` from ``H`` scaled by
+    :func:`~pht.linalg._norm_in_range`, gated, and scaled back by the same
+    power of two: ``2**j H`` gives ``2**j h`` bit for bit, and only a partner
+    that itself leaves the double range reads ``inf``.
+
     Raises
     ------
     DimensionMismatchError
-        If ``metric`` has another dimension than ``H``.
+        If ``metric`` has another dimension than ``H`` (from
+        :func:`map_observable`).
     NotPseudoHermitianError
         If the partner's residual exceeds ``PSEUDO_HERMITICITY_TOL`` or is NaN.
     """
-    h = as_square_matrix(hamiltonian)
-    if h.shape[0] != metric.dim:
-        raise DimensionMismatchError(f"hamiltonian dim {h.shape[0]} != metric dim {metric.dim}")
-    partner = metric.rho_plus @ h @ metric.rho_plus_inv
+    h, _, e = _norm_in_range(as_square_matrix(hamiltonian))
+    partner = map_observable(h, metric, "from_tilde")
     residual = _relative_residual(partner, lambda p: p - p.conj().T)
     if not residual <= PSEUDO_HERMITICITY_TOL:
         raise NotPseudoHermitianError(
             f"pseudo-Hermiticity residual {residual:.3e} exceeds {PSEUDO_HERMITICITY_TOL:.1e}"
         )
-    return partner
+    with np.errstate(over="ignore"):
+        return np.ldexp(partner.view(float), e).view(complex) if e else partner
 
 
 def map_observable(observable, metric: MetricOperator, direction: str = "to_tilde") -> np.ndarray:

@@ -80,6 +80,7 @@ EDGE_MATRICES = {
     "family-broken": [[1.0, 2.0j], [2.0j, -1.0]],
     "jordan": [[0.0, 0.0], [1.0, 0.0]],
     "degenerate": np.diag([1.0, 1.0, 2.0]),
+    "upper-1.6e308": [[8e307, 1.2e308], [0.0, 1.6e308]],
 }
 EDGE_INVOCATIONS = [
     ["analyze"],

@@ -40,6 +40,8 @@ def test_as_square_matrix_validates():
         as_square_matrix(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         as_square_matrix(np.zeros(4))
+    with pytest.raises(ValueError, match=r"non-empty square matrix, got shape \(0, 0\)"):
+        as_square_matrix(np.zeros((0, 0)))
     with pytest.raises(NonFiniteError):
         as_square_matrix([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(NonFiniteError):

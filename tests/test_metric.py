@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pht.errors import (
     DimensionMismatchError,
+    NotDiagonalizableError,
     NotHermitianError,
     NotPositiveDefiniteError,
     NotPseudoHermitianError,
@@ -116,6 +117,38 @@ def test_verify_pseudo_hermiticity_is_bit_identical_under_power_of_two_weight_sc
     assume(np.linalg.cond(weight) < 1e12)
     scaled = verify_pseudo_hermiticity(h, scale_by_power_of_two(weight, j))
     assert scaled == verify_pseudo_hermiticity(h, weight)
+
+
+# Upper triangular with a distinct real diagonal, so the spectrum is real.
+real_spectrum_grid_matrices = integer_grid_matrices().map(
+    lambda m: np.triu(m, 1) + np.diag(m.diagonal().real)
+).filter(lambda h: len(set(h.diagonal())) == len(h))
+
+
+@settings(max_examples=100, deadline=None)
+# 2^j H is exact for j in [-1064, 1013]: its parts are multiples of 2^-1074 below 2^1023
+@given(real_spectrum_grid_matrices, st.integers(-1064, 1013))
+# formed unscaled, the partner of 2^-1060 H would lose its low bits to subnormals
+@example(np.array([[1.0, 1.5], [0.0, 2.0]], dtype=complex), -1060)
+def test_hermitize_is_bit_identical_under_power_of_two_scaling_of_h(h, j):
+    # the partner is homogeneous of degree 1 in H
+    try:
+        metric = metric_from_hamiltonian(h)
+    except (NotDiagonalizableError, NotPositiveDefiniteError):
+        assume(False)
+    scaled = scale_by_power_of_two(h, j)
+    try:
+        partner = hermitize(h, metric)
+    except NotPseudoHermitianError:
+        # an ill-conditioned H refused at one scale is refused at every scale
+        with pytest.raises(NotPseudoHermitianError):
+            hermitize(scaled, metric)
+        return
+    # past the double range a part reads inf, and 1j * inf a NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = scale_by_power_of_two(partner, j)
+    assume(np.isfinite(expected).all())
+    npt.assert_array_equal(hermitize(scaled, metric), expected)
 
 
 def test_hermitize_family_golden():
