@@ -1,4 +1,4 @@
-"""Print the total and code-only line counts of ``src/pht/*.py``.
+"""Print the total and code-only line counts of each ``src/pht/*.py``, then of all.
 
 Code-only lines are the non-blank lines that are neither comment-only nor
 inside a module, class or function docstring.  Run from anywhere:
@@ -29,5 +29,8 @@ def counts(path: Path) -> tuple[int, int]:
 
 
 if __name__ == "__main__":
-    total, code = map(sum, zip(*(counts(p) for p in sorted(SRC.glob("*.py")))))
+    per_module = {p.name: counts(p) for p in sorted(SRC.glob("*.py"))}
+    for name, (total, code) in per_module.items():
+        print(f"src/pht/{name}: {total} lines, {code} code-only")
+    total, code = map(sum, zip(*per_module.values()))
     print(f"src/pht: {total} lines, {code} code-only")
