@@ -4,9 +4,23 @@ Units put hbar = 1.  For a quasi-Hermitian ``H`` the metric norm
 ``sqrt(<psi, eta_plus psi>)`` is a constant of motion even though the
 Euclidean norm generally is not; in the spontaneously broken regime the
 Euclidean norm grows like ``exp(|Im E| t)``.
+
+One propagator serves :func:`evolve` and :func:`norm_trajectory`.  It works
+in eigen-coordinates: for a diagonalizable ``H = V diag(w) V^{-1}`` the state
+is ``V a(t)`` with coefficients ``a(t) = exp(-i w (t - t0)) * c`` and
+``c = V^{-1} psi0``.  :func:`evolve` forms that state; a trajectory forms
+none, and takes the squared norm under a weight ``W`` as ``Re a^H G a`` with
+the Gram matrix ``G = V^H W V``, formed once per call.  On the trajectory's
+grid the phases are evaluated at ``t0 + k dt``, within an ulp or so of
+``times[k]``, as products of two exponentials of the grid (one per block of
+about ``sqrt(steps)`` samples, one per offset inside it).  A sample whose
+squared norm could leave the double range has its coefficients scaled by a
+power of two first, so its norm is returned as long as the norm itself is
+finite.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,6 +32,7 @@ from .errors import (
     OutOfRangeError,
 )
 from .linalg import (
+    _PLAIN_NORM_RANGE,
     SpectralData,
     SpectrumClass,
     _biorthonormal,
@@ -81,45 +96,81 @@ class EvolutionSpec:
         return spectral
 
 
-def _propagate(spec: EvolutionSpec, times: np.ndarray, spectral: SpectralData):
-    """Yield the states ``psi(t)`` for ``times`` as consecutive ``(d, k)`` blocks.
+def _propagate(spec: EvolutionSpec, spectral: SpectralData, step: float, n: int):
+    """``(basis, blocks)`` with ``psi(t0 + k step) = basis @ a_k`` for ``0 <= k < n``.
 
-    Column ``j`` of the blocks, taken in order, is ``psi(times[j])``.  Each
-    block holds at most ``_BLOCK_ENTRIES`` complex entries, so memory grows
-    with the block and not with the number of samples.  ``spectral`` is the
-    caller's decomposition of ``spec.hamiltonian``.  A diagonalizable
-    ``H = V diag(w) V^{-1}`` is propagated for all times as
-    ``V exp(-i w (t - t0)) V^{-1} psi0``, exact up to ``cond(V) eps``;
-    a near-defective one falls back to a dense matrix exponential per time.
+    ``blocks`` yields the coefficients ``a_k`` in order, as the columns of
+    consecutive ``(d, m)`` blocks.  Each block holds at most ``_BLOCK_ENTRIES``
+    complex entries (at least one row of the phase grid below), so memory
+    grows with the block and not with ``n``.  ``spectral`` is the caller's
+    decomposition of ``spec.hamiltonian``.
 
-    Raises
-    ------
-    NonFiniteError
-        If a propagated state has a NaN or infinite entry: a non-finite
-        time, or growth past double precision in the broken regime.
+    A diagonalizable ``H = V diag(w) V^{-1}`` has basis ``V`` and
+    ``a_k = exp(-i w k step) * c`` with ``c = V^{-1} psi0``, exact up to
+    ``cond(V) eps``.  Its phases come from two levels of the grid: with
+    ``k = q b + r`` and ``b`` the least power of two with ``b**2 >= n``,
+    ``exp(-i w k step) = exp(-i w q b step) exp(-i w r step)``, about
+    ``2 d sqrt(n)`` exponentials and one product per entry instead of ``d n``
+    exponentials.  ``q`` and ``r`` index the whole grid, so a block's entries
+    do not depend on where blocks start.  A near-defective ``H`` has basis
+    ``1`` and falls back to a dense matrix exponential per sample.
+
+    Nothing is checked here: a non-finite ``step``, or growth past double
+    precision in the broken regime, gives NaN or infinite coefficients, and
+    the caller, under ``np.errstate``, names the time of the first one.
     """
     h, psi0 = spec.hamiltonian, spec.initial_state
-    spectral_path = spectral.classification is not SpectrumClass.NEAR_DEFECTIVE
-    if spectral_path:
-        coeff = np.linalg.solve(spectral.eigenvectors, psi0)[:, None]
+    d = psi0.shape[0]
     # A power-of-two width keeps every block start on the column unrolling of
-    # the BLAS product, so blocks round as one block would; only a one-column
+    # the BLAS products, so blocks round as one block would; only a one-column
     # tail, which numpy hands to gemv, may differ in the last bit.
-    width = 1 << max(0, (_BLOCK_ENTRIES // psi0.shape[0]).bit_length() - 1)
-    for start in range(0, times.shape[0], width):
-        block = times[start:start + width]
-        # The finiteness check below names the bad time; numpy's own overflow
-        # warnings would only precede it on stderr.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if spectral_path:
-                phases = np.exp(-1j * np.outer(spectral.eigenvalues, block - spec.t0))
-                states = spectral.eigenvectors @ (phases * coeff)
-            else:
-                states = np.stack([matrix_exp(-1j * h * (t - spec.t0)) @ psi0 for t in block], axis=1)
-        finite = np.isfinite(states).all(axis=0)
-        if not finite.all():
-            raise NonFiniteError(f"propagated state is not finite at t = {block[np.argmin(finite)]}")
-        yield states
+    width = 1 << max(0, (_BLOCK_ENTRIES // d).bit_length() - 1)
+    if spectral.classification is SpectrumClass.NEAR_DEFECTIVE:
+        def dense():
+            for start in range(0, n, width):
+                ks = range(start, min(n, start + width))
+                yield np.stack([matrix_exp(-1j * h * (k * step)) @ psi0 for k in ks], axis=1)
+
+        return np.eye(d, dtype=complex), dense()
+    rates = -1j * spectral.eigenvalues
+    b = 1 << math.isqrt(n - 1).bit_length()
+    coarse = np.exp(rates[:, None] * (np.arange(0, n, b) * step))
+    coeff = np.linalg.solve(spectral.eigenvectors, psi0)
+    fine = np.exp(rates[:, None] * (np.arange(b) * step)) * coeff[:, None]
+    rows = max(1, width // b)
+    blocks = (
+        (coarse[:, q:q + rows, None] * fine[:, None, :]).reshape(d, -1)[:, :n - q * b]
+        for q in range(0, coarse.shape[1], rows)
+    )
+    return spectral.eigenvectors, blocks
+
+
+def _gram_norms(gram: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``sqrt(|Re a_k^H G a_k|)`` for each column ``a_k`` of ``a``.
+
+    A column whose square leaves the square of ``_norm_in_range``'s plain range
+    (or is not finite) is scaled as that rule scales an operand, by the power
+    of two that brings its largest real or imaginary part into ``[0.5, 1)``,
+    before its quadratic form, and its norm is scaled back.  Every other
+    column is scaled by ``2**0``, which moves no bit, and the whole block goes
+    through the same product again, so blocking still moves no bit.  A norm
+    beyond the double range reads ``inf``.
+    """
+
+    def squares(a):
+        # Re(a^H y) as the sum of real-part and imaginary-part products
+        products = np.einsum("ij,ij->j", a.view(float), (gram @ a).view(float))
+        return np.abs(products[0::2] + products[1::2])
+
+    plain = squares(a)
+    lo, hi = _PLAIN_NORM_RANGE
+    out = ~((lo * lo < plain) & (plain < hi * hi))
+    if not out.any():
+        return np.sqrt(plain)
+    parts = a.view(float).reshape(a.shape[0], -1, 2)
+    e = np.where(out, np.frexp(np.abs(parts).max(axis=(0, 2)))[1], 0)
+    scaled = np.ldexp(parts, -e[:, None]).view(complex)[..., 0]
+    return np.ldexp(np.sqrt(squares(scaled)), e)
 
 
 def evolve(spec: EvolutionSpec, time: float) -> np.ndarray:
@@ -137,8 +188,13 @@ def evolve(spec: EvolutionSpec, time: float) -> np.ndarray:
     """
     if time < spec.t0 or time > spec.t1:
         raise OutOfRangeError(f"time {time} outside window [{spec.t0}, {spec.t1}]")
-    times = np.array([time], dtype=float)
-    return next(_propagate(spec, times, spec._spectral))[:, 0]
+    # the two-sample grid {t0, time}: its second column is the state at time
+    with np.errstate(over="ignore", invalid="ignore"):
+        basis, blocks = _propagate(spec, spec._spectral, time - spec.t0, 2)
+        state = basis @ next(blocks)[:, 1]
+    if not np.isfinite(state).all():
+        raise NonFiniteError(f"propagated state is not finite at t = {time}")
+    return state
 
 
 @dataclass(frozen=True)
@@ -192,13 +248,34 @@ def _norm_trajectory(spec: EvolutionSpec, ip: InnerProductKind, spectral: Spectr
     ``spectral`` must decompose ``spec.hamiltonian``; its reality tolerance
     does not matter, because only the near-defective verdict picks the
     propagator.  ``ip.weight``, if any, must have the state's dimension.
+
+    No state is formed: the norms come from the propagator's coefficients and
+    the Gram matrix ``basis^H W basis`` of the weight ``W`` (``1`` for the
+    Euclidean norm), formed once.  Sample ``k`` is propagated to
+    ``t0 + k (t1 - t0) / steps``, which differs from ``times[k]`` by rounding.
+
+    Raises
+    ------
+    NonFiniteError
+        At the first time whose state, or its norm, is not finite.
     """
     times = np.linspace(spec.t0, spec.t1, spec.steps + 1)
-    norms = []
-    for psi in _propagate(spec, times, spectral):
-        weighted = psi if ip.weight is None else ip.weight @ psi
-        norms.append(np.sqrt(np.abs(np.einsum("ij,ij->j", psi.conj(), weighted).real)))
-    return NormTrajectory(times, np.concatenate(norms), ip.label)
+    norms = np.empty_like(times)
+    start = 0
+    # The finiteness check below names the bad time; numpy's own overflow
+    # warnings would only precede it on stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        basis, blocks = _propagate(spec, spectral, (spec.t1 - spec.t0) / spec.steps, times.shape[0])
+        gram = basis.conj().T @ (basis if ip.weight is None else ip.weight @ basis)
+        for a in blocks:
+            block = norms[start:start + a.shape[1]]
+            block[:] = _gram_norms(gram, a)
+            finite = np.isfinite(block)
+            if not finite.all():
+                bad = times[start + np.argmin(finite)]
+                raise NonFiniteError(f"propagated state is not finite at t = {bad}")
+            start += a.shape[1]
+    return NormTrajectory(times, norms, ip.label)
 
 
 def fit_growth_rate(trajectory: NormTrajectory) -> float:

@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -538,6 +539,23 @@ def test_evolve_overflow_exits_2(tmp_path, capsys):
         rc, out, err = run(capsys, ["evolve", h_path, "--state", s_path, "--t1", "1000", "--steps", "4"])
     assert rc == EXIT_INPUT and out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "state, expected",
+    [([1.0, 0.0], math.exp(400.0) / math.sqrt(2.0)), ([1.0, -1j], math.sqrt(2.0) * math.exp(-400.0))],
+    ids=["square-overflows", "square-underflows"],
+)
+def test_evolve_prints_a_norm_whose_square_leaves_the_double_range(tmp_path, capsys, state, expected):
+    # eigenvalues +-i: at t = 400 the state is finite, but its squared norm
+    # overflows (growing mode) or underflows (decaying mode)
+    h_path = write_matrix(tmp_path, "b.json", np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    s_path = write_state(tmp_path, "psi.json", state)
+    rc, out, err = run(capsys, ["evolve", h_path, "--state", s_path, "--t1", "400", "--steps", "4"])
+    assert rc == EXIT_OK and err == ""
+    t, norm = out.strip().splitlines()[-1].split(",")
+    assert t == "400"
+    assert float(norm) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_evolve_decomposes_h_once(tmp_path, capsys, eig_calls):

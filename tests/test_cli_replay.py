@@ -8,7 +8,8 @@ oracle.  After an intended change of output, regenerate it with
 
     PYTHONPATH=src python tests/test_cli_replay.py
 
-and explain each moved line.
+and explain each moved line.  The command prints, before it writes, how many
+cases moved for each subcommand and the id of each.
 
 The corpus is built from fixed seeds, not read from ``tests/data/``.  Its
 bulk is the benchmark's own ``cli`` cycle (``perfbench/gen.py``, loaded by
@@ -19,6 +20,7 @@ manifest.  The edge matrices, the near-exceptional-point sweep and the
 family calls are written out below.  ``main()`` reads each document from
 memory, as ``json.load`` would return it, so the replay skips file I/O.
 """
+import collections
 import contextlib
 import hashlib
 import importlib.util
@@ -207,17 +209,33 @@ def replay_all(monkeypatch) -> list:
     return records
 
 
+def read_manifest() -> list:
+    return [json.loads(line) for line in MANIFEST.read_text(encoding="utf-8").splitlines()]
+
+
+def moved_cases(records, manifest) -> list:
+    """The records that differ from the manifest line with their id, or have none."""
+    pinned = {r["id"]: r for r in manifest}
+    return [r for r in records if pinned.get(r["id"]) != r]
+
+
 def test_cli_replays_the_manifest_byte_for_byte(monkeypatch):
-    want = [json.loads(line) for line in MANIFEST.read_text(encoding="utf-8").splitlines()]
+    want = read_manifest()
     got = replay_all(monkeypatch)
     assert [r["id"] for r in got] == [r["id"] for r in want]
-    moved = [g["id"] for g, w in zip(got, want) if g != w]
+    moved = [r["id"] for r in moved_cases(got, want)]
     assert not moved, f"{len(moved)} of {len(want)} cases moved, first: {moved[:10]}"
 
 
 if __name__ == "__main__":
     with pytest.MonkeyPatch.context() as mp:
         records = replay_all(mp)
+    moved = moved_cases(records, read_manifest() if MANIFEST.exists() else [])
+    by_command = collections.Counter(r["argv"][0] for r in moved)
+    print(f"{len(moved)} of {len(records)} cases moved"
+          + "".join(f", {command} {n}" for command, n in sorted(by_command.items())))
+    for record in moved:
+        print(f"  {record['id']}")
     MANIFEST.parent.mkdir(exist_ok=True)
     MANIFEST.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     print(f"wrote {len(records)} cases to {MANIFEST}")

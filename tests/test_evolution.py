@@ -1,4 +1,5 @@
 """Propagation, norm trajectories, and growth-rate fitting."""
+import math
 import tracemalloc
 import warnings
 from functools import partial
@@ -233,11 +234,14 @@ def _diagonalizable(rng, d, real_spectrum=True):
     return s @ np.diag(w) @ np.linalg.inv(s)
 
 
-def _loop_norms(spec, ip):
-    """Reference: one spectral propagation and one ``inner_product`` per sample."""
+def _loop_norms(spec, ip, indices=slice(None)):
+    """Reference: one spectral propagation and one ``inner_product`` per sample.
+
+    ``indices`` picks the samples of the grid ``linspace(t0, t1, steps + 1)``.
+    """
     spectral = eigendecompose(spec.hamiltonian)
     coeff = np.linalg.solve(spectral.eigenvectors, spec.initial_state)
-    times = np.linspace(spec.t0, spec.t1, spec.steps + 1)
+    times = np.linspace(spec.t0, spec.t1, spec.steps + 1)[indices]
     norms = np.empty_like(times)
     for i, t in enumerate(times):
         psi = spectral.eigenvectors @ (np.exp(-1j * spectral.eigenvalues * (t - spec.t0)) * coeff)
@@ -271,6 +275,60 @@ def test_trajectory_matches_per_sample_loop(case):
     assert traj.kind == ip.label
     cond = eigendecompose(h).eigvec_condition
     npt.assert_allclose(traj.norms, expected, rtol=1e-14 * cond, atol=0)
+
+
+# Rounding of the phase arguments w (t - t0), on the tested and on the
+# reference side together, is about 2.5 ||H|| (t1 - t0) eps at the end of a
+# window; C_PHASE covers it with the rounding of the exponentials, their
+# two-level product and the quadratic form.
+C_PHASE = 4.0
+
+
+@pytest.mark.parametrize("d", [2, 8])
+@pytest.mark.parametrize("regime, kind", [("exact", "euclidean"), ("exact", "metric"), ("broken", "euclidean")])
+def test_long_window_matches_per_sample_loop(d, regime, kind):
+    # 100 000 steps over ||H|| (t1 - t0) = 1e4: the two-level phases must stay
+    # as accurate as one exponential per sample, to within the rounding of the
+    # phase arguments, which grows with ||H|| (t1 - t0)
+    rng = np.random.default_rng(109 + d)
+    s = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) + 2.0 * np.eye(d)
+    w = rng.normal(size=d)
+    if regime == "broken":
+        # small imaginary parts: growth and decay stay within about e^(+-20)
+        w = w + 2e-3j * rng.normal(size=d)
+    h = s @ np.diag(w) @ np.linalg.inv(s)
+    h_norm = np.linalg.norm(h, 2)
+    span = 1e4 / h_norm
+    spec = EvolutionSpec(h, rng.normal(size=d) + 1j * rng.normal(size=d),
+                         t0=-0.25 * span, t1=0.75 * span, steps=100_000)
+    if kind == "metric":
+        ip = InnerProductKind.metric_eta(metric_from_hamiltonian(h))
+    else:
+        ip = InnerProductKind.euclidean()
+    indices = np.unique(np.r_[rng.integers(0, spec.steps + 1, 190), np.arange(5), spec.steps - np.arange(5)])
+    traj = norm_trajectory(spec, kind=kind)
+    cond = eigendecompose(h).eigvec_condition
+    rtol = C_PHASE * np.finfo(float).eps * cond * (1.0 + h_norm * (spec.t1 - spec.t0))
+    npt.assert_allclose(traj.norms[indices], _loop_norms(spec, ip, indices), rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "metric", "pseudo-eta"])
+def test_evolve_and_norm_trajectory_agree(kind):
+    # the two consumers of the propagator form the state and the Gram form
+    # separately: the norm of evolve() at each sample time is the trajectory's
+    h = symmetric_hamiltonian(FAMILY_POINT)
+    spec = EvolutionSpec(h, np.array([1.0, 0.3 + 0.2j]), t0=-0.5, t1=4.0, steps=12)
+    if kind == "pseudo-eta":
+        kind = ip = InnerProductKind.pseudo_eta(SIGMA3)
+    elif kind == "metric":
+        ip = InnerProductKind.metric_eta(metric_from_hamiltonian(h))
+    else:
+        ip = InnerProductKind.euclidean()
+    traj = norm_trajectory(spec, kind=kind)
+    evolved = [evolve(spec, float(t)) for t in traj.times]
+    norms = [np.sqrt(abs(inner_product(psi, psi, ip).real)) for psi in evolved]
+    cond = eigendecompose(h).eigvec_condition
+    npt.assert_allclose(traj.norms, norms, rtol=1e-14 * cond, atol=0)
 
 
 def test_evolve_matches_dense_exponential():
@@ -314,6 +372,40 @@ def test_non_finite_refusals_come_without_numpy_warnings():
         for h in (ROTATION, defective):
             with pytest.raises(NonFiniteError, match="not finite at t = 750.0"):
                 norm_trajectory(EvolutionSpec(h, [1.0, 0.0], t1=1000.0, steps=4))
+
+
+@pytest.mark.parametrize(
+    "psi0, closed_form, rate",
+    [
+        # psi(t) = (cosh t, i sinh t): norm sqrt(cosh 2t), whose square overflows at t = 400
+        ([1.0, 0.0], lambda t: math.exp(t) * math.sqrt((1.0 + math.exp(-4.0 * t)) / 2.0), 1.0),
+        # psi(t) = e^-t (1, -i): norm sqrt(2) e^-t, whose square underflows at t = 400
+        ([1.0, -1j], lambda t: math.sqrt(2.0) * math.exp(-t), -1.0),
+    ],
+    ids=["square-overflows", "square-underflows"],
+)
+def test_norm_whose_square_leaves_the_double_range(psi0, closed_form, rate):
+    spec = EvolutionSpec(ROTATION, psi0, t1=400.0, steps=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = norm_trajectory(spec)
+    expected = [closed_form(t) for t in traj.times]
+    rtol = C_PHASE * np.finfo(float).eps * (1.0 + 400.0)  # cond(V) = 1, ||H|| = 1
+    npt.assert_allclose(traj.norms, expected, rtol=rtol, atol=0)
+    assert fit_growth_rate(traj) == pytest.approx(rate, rel=1e-12)
+
+
+def test_blocks_of_out_of_range_samples_are_bit_identical(monkeypatch):
+    # from t = 70 on the squared norm e^(2t) / 2 is out of range: blocks that
+    # are wholly in range, wholly out and mixed must all round as one block
+    spec = EvolutionSpec(ROTATION, [1.0, 0.0], t1=600.0, steps=1000)
+    single = norm_trajectory(spec)
+    monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", 64 * 2)
+    blocked = norm_trajectory(spec)
+    assert np.array_equal(blocked.norms, single.norms)
+    t = single.times
+    expected = np.exp(t) * np.sqrt((1.0 + np.exp(-4.0 * t)) / 2.0)
+    npt.assert_allclose(single.norms, expected, rtol=C_PHASE * np.finfo(float).eps * (1.0 + 600.0), atol=0)
 
 
 def test_weight_dimension_mismatch():
