@@ -8,15 +8,16 @@ Euclidean norm grows like ``exp(|Im E| t)``.
 One propagator serves :func:`evolve` and :func:`norm_trajectory`.  It works
 in eigen-coordinates: for a diagonalizable ``H = V diag(w) V^{-1}`` the state
 is ``V a(t)`` with coefficients ``a(t) = exp(-i w (t - t0)) * c`` and
-``c = V^{-1} psi0``.  :func:`evolve` forms that state; a trajectory forms
-none, and takes the squared norm under a weight ``W`` as ``Re a^H G a`` with
-the Gram matrix ``G = V^H W V``, formed once per call.  On the trajectory's
-grid the phases are evaluated at ``t0 + k dt``, within an ulp or so of
-``times[k]``, as products of two exponentials of the grid (one per block of
-about ``sqrt(steps)`` samples, one per offset inside it).  A sample whose
-squared norm could leave the double range has its coefficients scaled by a
-power of two first, so its norm is returned as long as the norm itself is
-finite.
+``c = V^{-1} psi0``, solved once per call.  On the trajectory's grid the
+phases are evaluated at ``t0 + k dt``, within an ulp or so of ``times[k]``,
+as products of two exponentials of the grid (one per block of about
+``sqrt(steps)`` samples, one per offset inside it).  A trajectory forms each
+state ``V a`` and its weighted partner ``(W V) a``, with ``W V`` formed once
+per call, and reduces the pair to the squared norm ``Re psi^H W psi``; a
+Gram form ``a^H (V^H W V) a`` would save the first product but square
+``cond(V)`` in the rounding error of every norm.  A sample whose squared norm
+could leave the double range has its coefficients scaled by a power of two
+first, so its norm is returned as long as the state and the norm are finite.
 """
 from __future__ import annotations
 
@@ -101,19 +102,19 @@ def _propagate(spec: EvolutionSpec, spectral: SpectralData, step: float, n: int)
 
     ``blocks`` yields the coefficients ``a_k`` in order, as the columns of
     consecutive ``(d, m)`` blocks.  Each block holds at most ``_BLOCK_ENTRIES``
-    complex entries (at least one row of the phase grid below), so memory
-    grows with the block and not with ``n``.  ``spectral`` is the caller's
-    decomposition of ``spec.hamiltonian``.
+    complex entries, so memory grows with the block and not with ``n``.
+    ``spectral`` is the caller's decomposition of ``spec.hamiltonian``.
 
     A diagonalizable ``H = V diag(w) V^{-1}`` has basis ``V`` and
     ``a_k = exp(-i w k step) * c`` with ``c = V^{-1} psi0``, exact up to
     ``cond(V) eps``.  Its phases come from two levels of the grid: with
-    ``k = q b + r`` and ``b`` the least power of two with ``b**2 >= n``,
-    ``exp(-i w k step) = exp(-i w q b step) exp(-i w r step)``, about
-    ``2 d sqrt(n)`` exponentials and one product per entry instead of ``d n``
-    exponentials.  ``q`` and ``r`` index the whole grid, so a block's entries
-    do not depend on where blocks start.  A near-defective ``H`` has basis
-    ``1`` and falls back to a dense matrix exponential per sample.
+    ``k = q b + r`` and ``b`` the least power of two with ``b**2 >= n``, capped
+    at the block width, ``exp(-i w k step) = exp(-i w q b step) exp(-i w r step)``,
+    about ``d (n / b + b)`` exponentials and one product per entry instead of
+    ``d n`` exponentials.  ``q`` and ``r`` index the whole grid and a block is
+    whole rows ``q``, so a block's entries do not depend on where blocks
+    start.  A near-defective ``H`` has basis ``1`` and falls back to a dense
+    matrix exponential per sample.
 
     Nothing is checked here: a non-finite ``step``, or growth past double
     precision in the broken regime, gives NaN or infinite coefficients, and
@@ -133,44 +134,52 @@ def _propagate(spec: EvolutionSpec, spectral: SpectralData, step: float, n: int)
 
         return np.eye(d, dtype=complex), dense()
     rates = -1j * spectral.eigenvalues
-    b = 1 << math.isqrt(n - 1).bit_length()
-    coarse = np.exp(rates[:, None] * (np.arange(0, n, b) * step))
+    b = min(1 << math.isqrt(n - 1).bit_length(), width)
     coeff = np.linalg.solve(spectral.eigenvectors, psi0)
     fine = np.exp(rates[:, None] * (np.arange(b) * step)) * coeff[:, None]
-    rows = max(1, width // b)
-    blocks = (
-        (coarse[:, q:q + rows, None] * fine[:, None, :]).reshape(d, -1)[:, :n - q * b]
-        for q in range(0, coarse.shape[1], rows)
-    )
-    return spectral.eigenvectors, blocks
+
+    def spectral_blocks():
+        for start in range(0, n, width):
+            coarse = np.exp(rates[:, None] * (np.arange(start, min(n, start + width), b) * step))
+            yield (coarse[:, :, None] * fine[:, None, :]).reshape(d, -1)[:, :n - start]
+
+    return spectral.eigenvectors, spectral_blocks()
 
 
-def _gram_norms(gram: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``sqrt(|Re a_k^H G a_k|)`` for each column ``a_k`` of ``a``.
+def _state_norms(basis: np.ndarray, weighted: np.ndarray | None, a: np.ndarray):
+    """``(norms, finite)`` of the states ``psi_k = basis @ a_k``, one per column of ``a``.
+
+    ``norms[k]`` is ``sqrt(|Re psi_k^H W psi_k|)`` with ``W psi_k`` taken as
+    ``weighted @ a_k``, where ``weighted`` is ``W @ basis`` (``None`` for the
+    Euclidean norm), and ``finite[k]`` says whether ``psi_k`` is finite.
 
     A column whose square leaves the square of ``_norm_in_range``'s plain range
     (or is not finite) is scaled as that rule scales an operand, by the power
-    of two that brings its largest real or imaginary part into ``[0.5, 1)``,
-    before its quadratic form, and its norm is scaled back.  Every other
-    column is scaled by ``2**0``, which moves no bit, and the whole block goes
-    through the same product again, so blocking still moves no bit.  A norm
-    beyond the double range reads ``inf``.
+    of two that brings the largest real or imaginary part of its state into
+    ``[0.5, 1)``, before its states are formed again, and its norm is scaled
+    back.  Every other column is scaled by ``2**0``, which moves no bit, and
+    the whole block goes through the same products again, so blocking still
+    moves no bit.  A norm beyond the double range reads ``inf``.
     """
 
-    def squares(a):
-        # Re(a^H y) as the sum of real-part and imaginary-part products
-        products = np.einsum("ij,ij->j", a.view(float), (gram @ a).view(float))
-        return np.abs(products[0::2] + products[1::2])
+    def states_and_squares(a):
+        psi = basis @ a
+        w_psi = psi if weighted is None else weighted @ a
+        # Re(psi^H W psi) as the sum of real-part and imaginary-part products
+        products = np.einsum("ij,ij->j", psi.view(float), w_psi.view(float))
+        return psi, np.abs(products[0::2] + products[1::2])
 
-    plain = squares(a)
+    psi, plain = states_and_squares(a)
+    finite = np.isfinite(psi).all(axis=0)
     lo, hi = _PLAIN_NORM_RANGE
     out = ~((lo * lo < plain) & (plain < hi * hi))
     if not out.any():
-        return np.sqrt(plain)
+        return np.sqrt(plain), finite
+    peaks = np.abs(psi.view(float)).reshape(a.shape[0], -1, 2).max(axis=(0, 2))
+    e = np.where(out, np.frexp(peaks)[1], 0)
     parts = a.view(float).reshape(a.shape[0], -1, 2)
-    e = np.where(out, np.frexp(np.abs(parts).max(axis=(0, 2)))[1], 0)
     scaled = np.ldexp(parts, -e[:, None]).view(complex)[..., 0]
-    return np.ldexp(np.sqrt(squares(scaled)), e)
+    return np.ldexp(np.sqrt(states_and_squares(scaled)[1]), e), finite
 
 
 def evolve(spec: EvolutionSpec, time: float) -> np.ndarray:
@@ -249,9 +258,8 @@ def _norm_trajectory(spec: EvolutionSpec, ip: InnerProductKind, spectral: Spectr
     does not matter, because only the near-defective verdict picks the
     propagator.  ``ip.weight``, if any, must have the state's dimension.
 
-    No state is formed: the norms come from the propagator's coefficients and
-    the Gram matrix ``basis^H W basis`` of the weight ``W`` (``1`` for the
-    Euclidean norm), formed once.  Sample ``k`` is propagated to
+    Each state is formed from the propagator's coefficients, and the weight
+    enters once, as ``W @ basis``.  Sample ``k`` is propagated to
     ``t0 + k (t1 - t0) / steps``, which differs from ``times[k]`` by rounding.
 
     Raises
@@ -266,11 +274,11 @@ def _norm_trajectory(spec: EvolutionSpec, ip: InnerProductKind, spectral: Spectr
     # warnings would only precede it on stderr.
     with np.errstate(over="ignore", invalid="ignore"):
         basis, blocks = _propagate(spec, spectral, (spec.t1 - spec.t0) / spec.steps, times.shape[0])
-        gram = basis.conj().T @ (basis if ip.weight is None else ip.weight @ basis)
+        weighted = None if ip.weight is None else ip.weight @ basis
         for a in blocks:
             block = norms[start:start + a.shape[1]]
-            block[:] = _gram_norms(gram, a)
-            finite = np.isfinite(block)
+            block[:], finite = _state_norms(basis, weighted, a)
+            finite &= np.isfinite(block)
             if not finite.all():
                 bad = times[start + np.argmin(finite)]
                 raise NonFiniteError(f"propagated state is not finite at t = {bad}")

@@ -249,7 +249,7 @@ def _loop_norms(spec, ip, indices=slice(None)):
     return norms
 
 
-@pytest.mark.parametrize("case", ["euclidean", "metric", "pseudo-eta", "broken", "generic-d8"])
+@pytest.mark.parametrize("case", ["euclidean", "metric", "pseudo-eta", "broken", "generic-d8", "near-ep"])
 def test_trajectory_matches_per_sample_loop(case):
     rng = np.random.default_rng(97)
     h = symmetric_hamiltonian(BROKEN_POINT if case == "broken" else FAMILY_POINT)
@@ -267,6 +267,11 @@ def test_trajectory_matches_per_sample_loop(case):
         psi0 = rng.normal(size=8) + 1j * rng.normal(size=8)
         kind = "metric"
         ip = InnerProductKind.metric_eta(metric_from_hamiltonian(h))
+    elif case == "near-ep":
+        # cond(V) = 2e7, still on the spectral path: c = V^-1 psi0 is about
+        # (-1e7, 1e7), and the unit norm at t0 is a difference of two 1e14s
+        h = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-7]])
+        psi0 = np.array([0.0, 1.0])
     if kind == "euclidean":
         ip = InnerProductKind.euclidean()
     spec = EvolutionSpec(h, psi0, t0=-0.5, t1=4.0, steps=301)
@@ -314,8 +319,8 @@ def test_long_window_matches_per_sample_loop(d, regime, kind):
 
 @pytest.mark.parametrize("kind", ["euclidean", "metric", "pseudo-eta"])
 def test_evolve_and_norm_trajectory_agree(kind):
-    # the two consumers of the propagator form the state and the Gram form
-    # separately: the norm of evolve() at each sample time is the trajectory's
+    # the two consumers of the propagator form their states from different
+    # grids: the norm of evolve() at each sample time is the trajectory's
     h = symmetric_hamiltonian(FAMILY_POINT)
     spec = EvolutionSpec(h, np.array([1.0, 0.3 + 0.2j]), t0=-0.5, t1=4.0, steps=12)
     if kind == "pseudo-eta":
@@ -384,28 +389,16 @@ def test_non_finite_refusals_come_without_numpy_warnings():
     ],
     ids=["square-overflows", "square-underflows"],
 )
-def test_norm_whose_square_leaves_the_double_range(psi0, closed_form, rate):
-    spec = EvolutionSpec(ROTATION, psi0, t1=400.0, steps=4)
+@pytest.mark.parametrize("t1, steps", [(400.0, 4), (600.0, 1000)])
+def test_norm_whose_square_leaves_the_double_range(psi0, closed_form, rate, t1, steps):
+    spec = EvolutionSpec(ROTATION, psi0, t1=t1, steps=steps)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = norm_trajectory(spec)
     expected = [closed_form(t) for t in traj.times]
-    rtol = C_PHASE * np.finfo(float).eps * (1.0 + 400.0)  # cond(V) = 1, ||H|| = 1
+    rtol = C_PHASE * np.finfo(float).eps * (1.0 + t1)  # cond(V) = 1, ||H|| = 1
     npt.assert_allclose(traj.norms, expected, rtol=rtol, atol=0)
     assert fit_growth_rate(traj) == pytest.approx(rate, rel=1e-12)
-
-
-def test_blocks_of_out_of_range_samples_are_bit_identical(monkeypatch):
-    # from t = 70 on the squared norm e^(2t) / 2 is out of range: blocks that
-    # are wholly in range, wholly out and mixed must all round as one block
-    spec = EvolutionSpec(ROTATION, [1.0, 0.0], t1=600.0, steps=1000)
-    single = norm_trajectory(spec)
-    monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", 64 * 2)
-    blocked = norm_trajectory(spec)
-    assert np.array_equal(blocked.norms, single.norms)
-    t = single.times
-    expected = np.exp(t) * np.sqrt((1.0 + np.exp(-4.0 * t)) / 2.0)
-    npt.assert_allclose(single.norms, expected, rtol=C_PHASE * np.finfo(float).eps * (1.0 + 600.0), atol=0)
 
 
 def test_weight_dimension_mismatch():
@@ -414,15 +407,20 @@ def test_weight_dimension_mismatch():
         norm_trajectory(spec, kind=InnerProductKind.pseudo_eta(np.eye(3)))
 
 
-@pytest.mark.parametrize("kind", ["euclidean", "metric"])
-def test_blocked_trajectory_is_bit_identical(monkeypatch, kind):
-    rng = np.random.default_rng(103)
-    spec = EvolutionSpec(_diagonalizable(rng, 4), rng.normal(size=4), t1=3.0, steps=1000)
+@pytest.mark.parametrize("case", ["euclidean", "metric", "out-of-range"])
+def test_blocked_trajectory_is_bit_identical(monkeypatch, case):
+    if case == "out-of-range":
+        # from t = 70 on the squared norm e^(2t) / 2 is out of range: blocks
+        # that are wholly in range, wholly out and mixed
+        spec, kind = EvolutionSpec(ROTATION, [1.0, 0.0], t1=600.0, steps=1000), "euclidean"
+    else:
+        rng = np.random.default_rng(103)
+        spec, kind = EvolutionSpec(_diagonalizable(rng, 4), rng.normal(size=4), t1=3.0, steps=1000), case
     single = norm_trajectory(spec, kind=kind)
     # 64-column blocks: 15 full ones and a 41-column tail.  numpy sends a
     # one-column product to gemv, which rounds differently from gemm, so the
     # grid is chosen not to end in a one-column block.
-    monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", 64 * 4)
+    monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", 64 * spec.initial_state.shape[0])
     blocked = norm_trajectory(spec, kind=kind)
     assert np.array_equal(blocked.times, single.times)
     assert np.array_equal(blocked.norms, single.norms)
@@ -439,3 +437,14 @@ def test_trajectory_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     # one (16, 200001) complex block alone would take 49 MiB
     assert peak < 32 * 2**20
+
+
+def test_blocks_stay_bounded_beyond_the_square_of_the_width(monkeypatch):
+    # 64-column blocks and 10 001 samples: sqrt(n) exceeds the width, so the
+    # offsets inside a block of the phase grid must be capped at the width
+    monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", 64 * 2)
+    spec = EvolutionSpec(ROTATION, [1.0, 0.0], t1=1.0, steps=10_000)
+    _, blocks = evolution._propagate(spec, spec._spectral, 1e-4, 10_001)
+    sizes = [a.size for a in blocks]
+    assert sum(sizes) == 2 * 10_001
+    assert max(sizes) <= 64 * 2
