@@ -6,8 +6,8 @@ JSON on stdout, byte for byte what ``json.dumps(report, indent=2)`` prints
 followed by a newline: each float is its ``float.__repr__``, the shortest
 string that reads back as the same double, so ``0.1`` prints as ``0.1``.  The
 output bytes are the contract.  ``evolve`` emits CSV.  Exit codes: 0 success,
-2 malformed input (non-finite flags and entries too large for a double
-included), 3 any other failure raised by the package.
+2 malformed input (non-finite flags, negative tolerances and entries too
+large for a double included), 3 any other failure raised by the package.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from .errors import (
     NonFiniteError,
     PHTError,
 )
-from .evolution import EvolutionSpec, _norm_trajectory, norm_trajectory
+from .evolution import EvolutionSpec, norm_trajectory
 from .families import (
     GeneralFamilyParams,
     SymmetricFamilyParams,
@@ -46,7 +46,7 @@ from .families import (
 from .linalg import (
     REALITY_RTOL,
     SpectrumClass,
-    _biorthonormal,
+    biorthonormalize,
     eigendecompose,
 )
 from .metric import (
@@ -180,6 +180,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for tolerance flags: a finite number >= 0."""
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def _load_document(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -261,26 +269,26 @@ def _reality_rtol(args) -> float:
     env = os.environ.get(RTOL_ENV_VAR)
     if env is not None:
         try:
-            return _finite_float(env)
+            return _tolerance(env)
         except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise CliInputError(f"{RTOL_ENV_VAR} must be a finite float, got {env!r}") from exc
+            raise CliInputError(f"{RTOL_ENV_VAR} must be a finite float >= 0, got {env!r}") from exc
     return REALITY_RTOL
 
 
-def _canonical_system(matrix: np.ndarray, spectral):
+def _canonical_system(spectral):
     """Biorthonormalize with the transpose convention when it applies.
 
     Complex symmetric input with nondegenerate real spectrum gets the
     transpose normalization, under which the emitted metric bundle matches
     the closed-form two-level operators; anything else uses the default
     unit-norm convention.  Both attempts share the decomposition
-    ``spectral`` of ``matrix`` and its reality tolerance.
+    ``spectral`` and its reality tolerance.
     """
     try:
-        return _biorthonormal(matrix, spectral, "transpose")
+        return biorthonormalize(spectral, normalization="transpose")
     except ValueError:
         # not complex symmetric, degenerate or self-orthogonal
-        return _biorthonormal(matrix, spectral, "unit")
+        return biorthonormalize(spectral, normalization="unit")
 
 
 def _pt_verdict(args, h: np.ndarray, spectral=None):
@@ -328,7 +336,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_metric(args) -> int:
     h = _load_matrix(args.input)
-    system = _canonical_system(h, eigendecompose(h, _reality_rtol(args)))
+    system = _canonical_system(eigendecompose(h, _reality_rtol(args)))
     metric = build_eta_plus(system)
     _emit(
         {
@@ -344,7 +352,7 @@ def cmd_metric(args) -> int:
 
 def cmd_hermitize(args) -> int:
     h = _load_matrix(args.input)
-    system = _canonical_system(h, eigendecompose(h, _reality_rtol(args)))
+    system = _canonical_system(eigendecompose(h, _reality_rtol(args)))
     metric = build_eta_plus(system)
     _emit(matrix_document(hermitize(h, metric)))
     return EXIT_OK
@@ -404,21 +412,20 @@ def cmd_family(args) -> int:
 def cmd_evolve(args) -> int:
     h = _load_matrix(args.input)
     psi0 = parse_state_document(_load_document(args.state))
-    try:
-        spec = EvolutionSpec(h, psi0, t0=args.t0, t1=args.t1, steps=args.steps)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
     # The propagator reads no reality verdict, so the Euclidean norm consults
     # no tolerance; the metric norm's one decomposition, made with --rtol,
     # serves the metric and the propagation.
+    hamiltonian = eigendecompose(h, _reality_rtol(args)) if args.norm == "metric" else h
+    try:
+        spec = EvolutionSpec(hamiltonian, psi0, t0=args.t0, t1=args.t1, steps=args.steps)
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from exc
+    kind = "euclidean"
     if args.norm == "metric":
-        spectral = eigendecompose(h, _reality_rtol(args))
         # Use the same canonical normalization as `metric`/`hermitize` so the
         # conserved value matches the closed-form bundle for family inputs.
-        ip = InnerProductKind.metric_eta(_positive_metric(_canonical_system, h, spectral))
-        trajectory = _norm_trajectory(spec, ip, spectral)
-    else:
-        trajectory = norm_trajectory(spec, "euclidean")
+        kind = InnerProductKind.metric_eta(_positive_metric(_canonical_system, hamiltonian))
+    trajectory = norm_trajectory(spec, kind)
     out = sys.stdout
     out.write("t,norm\n")
     for t, n in zip(trajectory.times, trajectory.norms):
@@ -453,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     rtol = argparse.ArgumentParser(add_help=False)
     rtol.add_argument(
         "--rtol",
-        type=_finite_float,
+        type=_tolerance,
         default=None,
         help=f"reality tolerance for spectrum classification "
         f"(default: ${RTOL_ENV_VAR} or {REALITY_RTOL})",
@@ -461,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt = argparse.ArgumentParser(add_help=False)
     pt.add_argument(
         "--atol",
-        type=_finite_float,
+        type=_tolerance,
         default=PT_RESIDUAL_TOL,
         help=f"residual tolerance for symmetry checks (default {PT_RESIDUAL_TOL})",
     )

@@ -36,9 +36,9 @@ from .linalg import (
     _PLAIN_NORM_RANGE,
     SpectralData,
     SpectrumClass,
-    _biorthonormal,
     as_square_matrix,
     as_state_vector,
+    biorthonormalize,
     eigendecompose,
     matrix_exp,
 )
@@ -59,7 +59,10 @@ class EvolutionSpec:
     caller's arrays, so later writes to those arrays do not reach the spec.
     The spec decomposes ``H`` once, on first use by :func:`evolve` or
     :func:`norm_trajectory`, and every later call on the same spec shares
-    that decomposition.
+    that decomposition.  Given an :func:`~pht.linalg.eigendecompose` record
+    as ``hamiltonian``, the spec holds the record's matrix and uses the
+    record as its decomposition, whose ``reality_rtol`` then decides the
+    ``"metric"`` norm.
     """
 
     hamiltonian: np.ndarray
@@ -69,6 +72,10 @@ class EvolutionSpec:
     steps: int = 100
 
     def __post_init__(self):
+        if isinstance(self.hamiltonian, SpectralData):
+            # the record stands in for its matrix and seeds the cached decomposition
+            object.__setattr__(self, "_spectral", self.hamiltonian)
+            object.__setattr__(self, "hamiltonian", self.hamiltonian.matrix)
         h = as_square_matrix(self.hamiltonian)
         psi = as_state_vector(self.initial_state)
         if psi.shape[0] != h.shape[0]:
@@ -86,31 +93,24 @@ class EvolutionSpec:
 
     @cached_property
     def _spectral(self) -> SpectralData:
-        """``eigendecompose(self.hamiltonian)``, computed on first use.
-
-        Every call on the spec receives this one result, so its arrays are
-        read-only as well.
-        """
-        spectral = eigendecompose(self.hamiltonian)
-        spectral.eigenvalues.flags.writeable = False
-        spectral.eigenvectors.flags.writeable = False
-        return spectral
+        """``eigendecompose(self.hamiltonian)``, computed on first use."""
+        return eigendecompose(self.hamiltonian)
 
 
-def _propagate(spec: EvolutionSpec, spectral: SpectralData, step: float, n: int):
-    """``(basis, blocks)`` with ``psi(t0 + k step) = basis @ a_k`` for ``0 <= k < n``.
+def _propagate(spec: EvolutionSpec, step: float, n: int, first: int = 0):
+    """``(basis, blocks)`` with ``psi(t0 + k step) = basis @ a_k`` for ``first <= k < n``.
 
     ``blocks`` yields the coefficients ``a_k`` in order, as the columns of
     consecutive ``(d, m)`` blocks.  Each block holds at most ``_BLOCK_ENTRIES``
     complex entries, so memory grows with the block and not with ``n``.
-    ``spectral`` is the caller's decomposition of ``spec.hamiltonian``.
 
     A diagonalizable ``H = V diag(w) V^{-1}`` has basis ``V`` and
     ``a_k = exp(-i w k step) * c`` with ``c = V^{-1} psi0``, exact up to
     ``cond(V) eps``.  Its phases come from two levels of the grid: with
-    ``k = q b + r`` and ``b`` the least power of two with ``b**2 >= n``, capped
-    at the block width, ``exp(-i w k step) = exp(-i w q b step) exp(-i w r step)``,
-    about ``d (n / b + b)`` exponentials and one product per entry instead of
+    ``k = first + q b + r`` and ``b`` the least power of two with
+    ``b**2 >= n - first``, capped at the block width,
+    ``exp(-i w k step) = exp(-i w (first + q b) step) exp(-i w r step)``, about
+    ``d (n / b + b)`` exponentials and one product per entry instead of
     ``d n`` exponentials.  ``q`` and ``r`` index the whole grid and a block is
     whole rows ``q``, so a block's entries do not depend on where blocks
     start.  A near-defective ``H`` has basis ``1`` and falls back to a dense
@@ -120,7 +120,7 @@ def _propagate(spec: EvolutionSpec, spectral: SpectralData, step: float, n: int)
     precision in the broken regime, gives NaN or infinite coefficients, and
     the caller, under ``np.errstate``, names the time of the first one.
     """
-    h, psi0 = spec.hamiltonian, spec.initial_state
+    h, psi0, spectral = spec.hamiltonian, spec.initial_state, spec._spectral
     d = psi0.shape[0]
     # A power-of-two width keeps every block start on the column unrolling of
     # the BLAS products, so blocks round as one block would; only a one-column
@@ -128,18 +128,18 @@ def _propagate(spec: EvolutionSpec, spectral: SpectralData, step: float, n: int)
     width = 1 << max(0, (_BLOCK_ENTRIES // d).bit_length() - 1)
     if spectral.classification is SpectrumClass.NEAR_DEFECTIVE:
         def dense():
-            for start in range(0, n, width):
+            for start in range(first, n, width):
                 ks = range(start, min(n, start + width))
                 yield np.stack([matrix_exp(-1j * h * (k * step)) @ psi0 for k in ks], axis=1)
 
         return np.eye(d, dtype=complex), dense()
     rates = -1j * spectral.eigenvalues
-    b = min(1 << math.isqrt(n - 1).bit_length(), width)
+    b = min(1 << math.isqrt(n - first - 1).bit_length(), width)
     coeff = np.linalg.solve(spectral.eigenvectors, psi0)
     fine = np.exp(rates[:, None] * (np.arange(b) * step)) * coeff[:, None]
 
     def spectral_blocks():
-        for start in range(0, n, width):
+        for start in range(first, n, width):
             coarse = np.exp(rates[:, None] * (np.arange(start, min(n, start + width), b) * step))
             yield (coarse[:, :, None] * fine[:, None, :]).reshape(d, -1)[:, :n - start]
 
@@ -197,10 +197,10 @@ def evolve(spec: EvolutionSpec, time: float) -> np.ndarray:
     """
     if time < spec.t0 or time > spec.t1:
         raise OutOfRangeError(f"time {time} outside window [{spec.t0}, {spec.t1}]")
-    # the two-sample grid {t0, time}: its second column is the state at time
+    # sample 1 alone of the grid t0 + k (time - t0)
     with np.errstate(over="ignore", invalid="ignore"):
-        basis, blocks = _propagate(spec, spec._spectral, time - spec.t0, 2)
-        state = basis @ next(blocks)[:, 1]
+        basis, blocks = _propagate(spec, time - spec.t0, 2, first=1)
+        state = basis @ next(blocks)[:, 0]
     if not np.isfinite(state).all():
         raise NonFiniteError(f"propagated state is not finite at t = {time}")
     return state
@@ -221,17 +221,21 @@ def norm_trajectory(spec: EvolutionSpec, kind="euclidean") -> NormTrajectory:
     The metric (for ``"metric"``) and the propagation come from the spec's
     one decomposition of its read-only ``H``, made on first use and shared
     with :func:`evolve` and every other call on the same spec; an unknown
-    ``kind`` is refused before it is made.
+    ``kind`` is refused before it is made.  Sample ``k`` is propagated to
+    ``t0 + k (t1 - t0) / steps``, which differs from ``times[k]`` by rounding,
+    and a weight ``W`` enters once, as ``W`` times the propagator's basis.
 
     Parameters
     ----------
     spec : EvolutionSpec
     kind : str or InnerProductKind
-        ``"euclidean"``, ``"metric"`` (builds the positive metric from
-        ``spec.hamiltonian``), or an explicit :class:`InnerProductKind`.
+        ``"euclidean"``, ``"metric"`` (builds the positive metric from the
+        spec's decomposition), or an explicit :class:`InnerProductKind`.
 
     Raises
     ------
+    NonFiniteError
+        At the first time whose state, or its norm, is not finite.
     NoPositiveMetricError
         If ``"metric"`` is requested for a Hamiltonian in the broken regime
         (complex spectrum or near-defective): no positive metric exists.
@@ -240,40 +244,20 @@ def norm_trajectory(spec: EvolutionSpec, kind="euclidean") -> NormTrajectory:
     if kind == "euclidean":
         ip = InnerProductKind.euclidean()
     elif kind == "metric":
-        metric = _positive_metric(_biorthonormal, spec.hamiltonian, spec._spectral, "unit")
-        ip = InnerProductKind.metric_eta(metric)
+        ip = InnerProductKind.metric_eta(_positive_metric(biorthonormalize, spec._spectral))
     elif not isinstance(kind, InnerProductKind):
         raise ValueError(f"unknown norm kind {kind!r}")
     elif kind.weight is not None and kind.weight.shape[0] != d:
         raise DimensionMismatchError(f"weight dim {kind.weight.shape[0]} != state dim {d}")
     else:
         ip = kind
-    return _norm_trajectory(spec, ip, spec._spectral)
-
-
-def _norm_trajectory(spec: EvolutionSpec, ip: InnerProductKind, spectral: SpectralData) -> NormTrajectory:
-    """:func:`norm_trajectory` under ``ip``, propagated from the caller's ``spectral``.
-
-    ``spectral`` must decompose ``spec.hamiltonian``; its reality tolerance
-    does not matter, because only the near-defective verdict picks the
-    propagator.  ``ip.weight``, if any, must have the state's dimension.
-
-    Each state is formed from the propagator's coefficients, and the weight
-    enters once, as ``W @ basis``.  Sample ``k`` is propagated to
-    ``t0 + k (t1 - t0) / steps``, which differs from ``times[k]`` by rounding.
-
-    Raises
-    ------
-    NonFiniteError
-        At the first time whose state, or its norm, is not finite.
-    """
     times = np.linspace(spec.t0, spec.t1, spec.steps + 1)
     norms = np.empty_like(times)
     start = 0
     # The finiteness check below names the bad time; numpy's own overflow
     # warnings would only precede it on stderr.
     with np.errstate(over="ignore", invalid="ignore"):
-        basis, blocks = _propagate(spec, spectral, (spec.t1 - spec.t0) / spec.steps, times.shape[0])
+        basis, blocks = _propagate(spec, (spec.t1 - spec.t0) / spec.steps, times.shape[0])
         weighted = None if ip.weight is None else ip.weight @ basis
         for a in blocks:
             block = norms[start:start + a.shape[1]]

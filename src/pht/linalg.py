@@ -169,6 +169,10 @@ class SpectralData:
     reality_rtol : float
         The relative tolerance that decided ``classification``: an eigenvalue
         ``w`` counts as real when ``|Im w| <= reality_rtol * (1 + |w|)``.
+    matrix : ndarray
+        A copy of the matrix as it was decomposed: real when no imaginary
+        part is nonzero, complex otherwise.  It and both arrays above are
+        read-only, so the record can stand in for its matrix.
     """
 
     eigenvalues: np.ndarray
@@ -176,6 +180,7 @@ class SpectralData:
     eigvec_condition: float
     classification: SpectrumClass
     reality_rtol: float
+    matrix: np.ndarray
 
 
 def eigendecompose(matrix, reality_rtol: float = REALITY_RTOL) -> SpectralData:
@@ -184,10 +189,13 @@ def eigendecompose(matrix, reality_rtol: float = REALITY_RTOL) -> SpectralData:
     An eigenvalue ``w`` counts as real when ``|Im w| <= rtol * (1 + |w|)``.
     The matrix is flagged near-defective when the eigenvector matrix has
     condition number above ``EIGVEC_CONDITION_LIMIT``; that verdict takes
-    precedence over the reality classification.
+    precedence over the reality classification.  ``reality_rtol`` must be
+    ``>= 0``; anything else raises ``ValueError``.
     """
-    m = as_square_matrix(matrix)
-    w, v = np.linalg.eig(_real_if_real(m))
+    if not reality_rtol >= 0:
+        raise ValueError(f"reality_rtol must be >= 0, got {reality_rtol!r}")
+    m = _real_if_real(as_square_matrix(matrix)).copy()
+    w, v = np.linalg.eig(m)
     order = np.lexsort((-w.imag, -w.real))
     w, v = w[order], v[:, order]
     cond = float(np.linalg.cond(v))
@@ -198,7 +206,9 @@ def eigendecompose(matrix, reality_rtol: float = REALITY_RTOL) -> SpectralData:
         cls = SpectrumClass.REAL_DIAGONALIZABLE
     else:
         cls = SpectrumClass.CONJUGATE_PAIRS
-    return SpectralData(w, v, cond, cls, reality_rtol)
+    for array in (w, v, m):
+        array.flags.writeable = False
+    return SpectralData(w, v, cond, cls, reality_rtol, m)
 
 
 @dataclass(frozen=True)
@@ -249,8 +259,11 @@ def biorthonormalize(matrix, *, normalization: str = "unit") -> BiorthonormalSys
 
     Parameters
     ----------
-    matrix : array_like
-        Square matrix, diagonalizable with real spectrum.
+    matrix : array_like or SpectralData
+        Square matrix, diagonalizable with real spectrum, or its
+        :func:`eigendecompose` record, which is used as it is: the spectrum
+        is then decided against that record's ``reality_rtol``, and callers
+        that try both conventions decompose once.
     normalization : {"unit", "transpose"}
         ``"unit"`` keeps each ``psi_n`` at unit Euclidean norm with its
         largest-modulus entry rotated to the positive real axis, and takes
@@ -276,18 +289,8 @@ def biorthonormalize(matrix, *, normalization: str = "unit") -> BiorthonormalSys
     """
     if normalization not in ("unit", "transpose"):
         raise ValueError(f"unknown normalization {normalization!r}")
-    m = as_square_matrix(matrix)
-    return _biorthonormal(m, eigendecompose(m), normalization)
-
-
-def _biorthonormal(m: np.ndarray, spectral: SpectralData, normalization: str) -> BiorthonormalSystem:
-    """:func:`biorthonormalize` of the validated ``m`` from its decomposition ``spectral``.
-
-    ``normalization`` must be ``"unit"`` or ``"transpose"``, and ``spectral``
-    must decompose ``m``; a complex spectrum is reported against the
-    ``spectral.reality_rtol`` that classified it.  Callers that try both
-    conventions pass one decomposition to each attempt.
-    """
+    spectral = matrix if isinstance(matrix, SpectralData) else eigendecompose(matrix)
+    m = spectral.matrix
     if normalization == "transpose" and not _relative_residual(m, lambda a: a - a.T) <= HERMITICITY_RTOL:
         raise ValueError("transpose normalization requires a complex symmetric matrix")
     if spectral.classification is SpectrumClass.NEAR_DEFECTIVE:

@@ -263,5 +263,5 @@ def inner_product(psi, phi, kind: InnerProductKind | None = None) -> complex:
 
 
 def metric_from_hamiltonian(hamiltonian, *, normalization: str = "unit") -> MetricOperator:
-    """Biorthonormalize ``H``, real in spectrum to within ``REALITY_RTOL``, and build its metric."""
+    """Build the metric of ``biorthonormalize(hamiltonian)``, which also takes a ``SpectralData``."""
     return build_eta_plus(biorthonormalize(hamiltonian, normalization=normalization))

@@ -889,7 +889,7 @@ def test_metric_reports_the_reality_bound_of_its_rtol(tmp_path, capsys):
     assert "|Im w| = 1.000e-03 exceeds its reality bound 2.000e-06;" in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
 def test_non_finite_reality_rtol_env_exits_2(tmp_path, capsys, monkeypatch, value):
     path = write_matrix(tmp_path, "h.json", np.diag([1.0, 2.0]))
     monkeypatch.setenv("PHT_RTOL", value)
@@ -940,7 +940,7 @@ def test_atol_flag_loosens_symmetry_check(tmp_path, capsys):
     assert json.loads(out)["pt_symmetric"]
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
 @pytest.mark.parametrize(
     "command, flag",
     [(c, "--rtol") for c in ("analyze", "metric", "hermitize", "evolve", "check-pt")]

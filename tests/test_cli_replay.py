@@ -172,6 +172,11 @@ def corpus():
                  ["evolve", "H.json", "--state", "psi.json", "--steps", "20"]):
         yield f"tolerance-flag/{argv[0]} --atol", [*argv, "--atol", "1e-3"], docs
 
+    # a negative tolerance is malformed input, as a non-finite one is
+    for argv in (["analyze", "H.json", "--rtol", "-1"], ["check-pt", "H.json", "--atol", "-1"],
+                 ["evolve", "H.json", "--state", "psi.json", "--norm", "metric", "--rtol", "-1"]):
+        yield f"negative-tolerance/{argv[0]} {argv[-2]}", argv, docs
+
 
 def replay(argv) -> tuple:
     """``(exit code, stdout, stderr)`` of ``main(argv)``; numpy's warnings join stderr."""

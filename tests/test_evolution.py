@@ -175,6 +175,28 @@ def test_refused_metric_still_shares_the_decomposition(eig_calls):
     assert len(eig_calls) == 1
 
 
+@pytest.mark.parametrize("kind", ["euclidean", "metric"])
+def test_spec_takes_the_decomposition_of_its_hamiltonian(eig_calls, kind):
+    h = symmetric_hamiltonian(FAMILY_POINT)
+    psi0 = np.array([0.3 + 0.1j, -0.8])
+    spec = EvolutionSpec(eigendecompose(h), psi0, t0=0.0, t1=4.0, steps=40)
+    got = [norm_trajectory(spec, kind).norms, evolve(spec, 1.3)]
+    assert len(eig_calls) == 1
+    assert np.array_equal(spec.hamiltonian, h)
+    plain = EvolutionSpec(h, psi0, t0=0.0, t1=4.0, steps=40)
+    assert np.array_equal(norm_trajectory(plain, kind).norms, got[0])
+    assert np.array_equal(evolve(plain, 1.3), got[1])
+
+
+def test_metric_norm_decides_against_the_tolerance_of_the_spec_record():
+    h = np.diag([1.0, 2.0 + 5e-9j])  # |Im w| = 5e-9 exceeds the default bound 3e-9
+    psi0 = np.array([0.6, 0.8])
+    with pytest.raises(NoPositiveMetricError):
+        norm_trajectory(EvolutionSpec(h, psi0), kind="metric")
+    traj = norm_trajectory(EvolutionSpec(eigendecompose(h, reality_rtol=1e-6), psi0), kind="metric")
+    npt.assert_allclose(traj.norms, np.hypot(0.6, 0.8 * np.exp(5e-9 * traj.times)), rtol=1e-15)
+
+
 def test_spec_holds_read_only_copies():
     h = symmetric_hamiltonian(FAMILY_POINT)
     psi0 = np.array([0.3 + 0.1j, -0.8])
@@ -197,13 +219,19 @@ def test_spec_holds_read_only_copies():
         spec._spectral.eigenvectors[0, 0] = 5.0
 
 
-def test_near_defective_falls_back_to_dense_exponential():
+def test_near_defective_falls_back_to_dense_exponential(monkeypatch):
     # nilpotent Jordan block: exp(-iHt) = 1 - iHt exactly, so the Euclidean
     # norm of (0, 1) evolves as sqrt(1 + t^2)
     h = np.array([[0.0, 1.0], [0.0, 0.0]])
     spec = EvolutionSpec(h, np.array([0.0, 1.0]), t0=0.0, t1=3.0, steps=30)
     traj = norm_trajectory(spec)
     npt.assert_allclose(traj.norms, np.sqrt(1.0 + traj.times**2), atol=1e-12)
+    # evolve() takes one dense exponential, of its own time alone
+    calls = []
+    monkeypatch.setattr(evolution, "matrix_exp", lambda m: calls.append(m) or matrix_exp(m))
+    for t in (0.0, 1.5, 3.0):
+        npt.assert_allclose(evolve(spec, t), [-1j * t, 1.0], atol=1e-12)
+    assert len(calls) == 3
 
 
 def test_fit_growth_rate_exact_exponential():
@@ -444,7 +472,7 @@ def test_blocks_stay_bounded_beyond_the_square_of_the_width(monkeypatch):
     # offsets inside a block of the phase grid must be capped at the width
     monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", 64 * 2)
     spec = EvolutionSpec(ROTATION, [1.0, 0.0], t1=1.0, steps=10_000)
-    _, blocks = evolution._propagate(spec, spec._spectral, 1e-4, 10_001)
+    _, blocks = evolution._propagate(spec, 1e-4, 10_001)
     sizes = [a.size for a in blocks]
     assert sum(sizes) == 2 * 10_001
     assert max(sizes) <= 64 * 2

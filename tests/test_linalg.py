@@ -99,6 +99,51 @@ def test_eigendecompose_reality_tolerance_is_relative():
     assert eigendecompose(h).reality_rtol == REALITY_RTOL
 
 
+@pytest.mark.parametrize("h", [[[1.0, 2.0], [0.5, -1.0]], [[2.0, 1.0j], [1.0j, -2.0]]], ids=["real", "complex"])
+def test_eigendecompose_record_is_a_read_only_copy(h):
+    h = np.array(h, dtype=complex)
+    original = h.copy()
+    data = eigendecompose(h)
+    for array in (data.matrix, data.eigenvalues, data.eigenvectors):
+        with pytest.raises(ValueError):
+            array[0] = 5.0
+    # later writes to the caller's array reach neither the record nor what it builds
+    system = biorthonormalize(h)
+    h[0, 0] = 7.0
+    assert np.array_equal(data.matrix, original)
+    assert np.array_equal(biorthonormalize(data).phi, system.phi)
+
+
+@pytest.mark.parametrize("rtol", [-1.0, -5e-324, float("nan")])
+def test_eigendecompose_refuses_a_negative_tolerance(eig_calls, rtol):
+    with pytest.raises(ValueError, match="reality_rtol must be >= 0"):
+        eigendecompose(np.eye(2), reality_rtol=rtol)
+    assert eig_calls == []
+
+
+@pytest.mark.parametrize("normalization", ["unit", "transpose"])
+def test_biorthonormalize_takes_the_decomposition_of_its_matrix(eig_calls, normalization):
+    if normalization == "transpose":
+        h = np.array([[2.0, 1.0j], [1.0j, -2.0]])
+    else:
+        h, _ = random_similarity(np.random.default_rng(13), 4)
+    from_record = biorthonormalize(eigendecompose(h), normalization=normalization)
+    assert len(eig_calls) == 1
+    from_matrix = biorthonormalize(h, normalization=normalization)
+    for name in ("eigenvalues", "psi", "phi"):
+        assert np.array_equal(getattr(from_record, name), getattr(from_matrix, name))
+
+
+def test_biorthonormalize_decides_against_the_tolerance_of_the_record():
+    h = np.diag([1.0, 2.0 + 5e-9j])  # |Im w| = 5e-9 exceeds the default bound 3e-9
+    with pytest.raises(ComplexSpectrumError, match="reality bound 3.000e-09"):
+        biorthonormalize(h)
+    with pytest.raises(ComplexSpectrumError, match="reality bound 3.000e-12"):
+        biorthonormalize(eigendecompose(h, reality_rtol=1e-12))
+    system = biorthonormalize(eigendecompose(h, reality_rtol=1e-6))
+    assert np.array_equal(system.eigenvalues, [2.0, 1.0])
+
+
 def test_biorthonormalize_duality_and_completeness():
     rng = np.random.default_rng(7)
     for dim in (2, 3, 5, 8):

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pht.errors import (
+    ComplexSpectrumError,
     DimensionMismatchError,
     NotDiagonalizableError,
     NotHermitianError,
@@ -286,6 +287,21 @@ def test_metric_from_hamiltonian_matches_composition():
     direct = metric_from_hamiltonian(h)
     composed = build_eta_plus(biorthonormalize(h))
     npt.assert_allclose(direct.eta_plus, composed.eta_plus, atol=0)
+
+
+def test_metric_from_hamiltonian_takes_the_decomposition_of_its_matrix(eig_calls):
+    h, _ = random_similarity(np.random.default_rng(43), 3)
+    from_record = metric_from_hamiltonian(eigendecompose(h))
+    assert len(eig_calls) == 1
+    from_matrix = metric_from_hamiltonian(h)
+    for name in ("eta_plus", "rho_plus", "rho_plus_inv"):
+        assert np.array_equal(getattr(from_record, name), getattr(from_matrix, name))
+    # a loose tolerance on the record admits a spectrum that the default refuses
+    near_real = np.diag([1.0, 2.0 + 5e-9j])
+    with pytest.raises(ComplexSpectrumError):
+        metric_from_hamiltonian(near_real)
+    loose = metric_from_hamiltonian(eigendecompose(near_real, reality_rtol=1e-6))
+    assert np.array_equal(loose.eta_plus, np.eye(2))
 
 
 def test_build_eta_plus_rejects_invalid_system():
