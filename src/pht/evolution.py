@@ -84,8 +84,9 @@ class EvolutionSpec:
             raise NonFiniteError(f"time window [t0, t1] = [{self.t0}, {self.t1}] is not finite")
         if not self.t1 > self.t0:
             raise ValueError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
-        if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
-            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
+        steps = self.steps
+        if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:
+            raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
         for name, array in (("hamiltonian", h), ("initial_state", psi)):
             array = array.copy()
             array.flags.writeable = False

@@ -234,16 +234,16 @@ class BiorthonormalSystem:
         return float(np.linalg.norm(d))
 
 
-def _degenerate_clusters(eigenvalues: np.ndarray, matrix: np.ndarray) -> list[list[int]]:
-    """Group indices of (sorted) real eigenvalues of ``matrix`` into degenerate clusters.
+def _degenerate_clusters(spectral: SpectralData) -> list[list[int]]:
+    """Group the indices of ``spectral``'s (sorted) real eigenvalues into degenerate clusters.
 
     Neighbours join a cluster when their gap is at most
-    ``DEGENERATE_GAP_RTOL * ||matrix||_F``; both sides are scaled by the power
-    of two of :func:`_norm_in_range`, so the norm cannot overflow to ``inf``
-    and merge every eigenvalue.
+    ``DEGENERATE_GAP_RTOL * ||spectral.matrix||_F``; both sides are scaled by
+    the power of two of :func:`_norm_in_range`, so the norm cannot overflow to
+    ``inf`` and merge every eigenvalue.
     """
-    _, scale, e = _norm_in_range(matrix)
-    w = np.ldexp(eigenvalues, -e)
+    _, scale, e = _norm_in_range(spectral.matrix)
+    w = np.ldexp(spectral.eigenvalues.real, -e)
     gap = DEGENERATE_GAP_RTOL * scale
     clusters: list[list[int]] = [[0]]
     for k in range(1, len(w)):
@@ -309,7 +309,7 @@ def biorthonormalize(matrix, *, normalization: str = "unit") -> BiorthonormalSys
 
     w = spectral.eigenvalues.real.copy()
     v = spectral.eigenvectors.copy()
-    clusters = _degenerate_clusters(w, m)
+    clusters = _degenerate_clusters(spectral)
 
     if normalization == "unit":
         for cluster in clusters:

@@ -21,11 +21,13 @@ from pht.errors import (
     SingularParityError,
 )
 from pht.families import (
+    GeneralFamilyParams,
     SymmetricFamilyParams,
+    general_t_hamiltonian,
     parity_from_angle,
     symmetric_hamiltonian,
 )
-from pht.linalg import EIGVEC_CONDITION_LIMIT, SIGMA2, SIGMA3
+from pht.linalg import EIGVEC_CONDITION_LIMIT, SIGMA2, SIGMA3, eigendecompose
 
 from conftest import integer_grid_matrices, random_exact_symmetric_params, scale_by_power_of_two
 
@@ -259,3 +261,87 @@ def test_check_exactness_degenerate_eigenspace():
         # independent columns: fixed passes the package's own diagonalizability gate
         assert np.linalg.cond(fixed) < EIGVEC_CONDITION_LIMIT
 
+
+def test_check_exactness_refuses_a_pt_that_is_not_an_involution():
+    # T = 2K commutes with a real H but squares to 4: |<psi, PT psi>| = 2 for
+    # every eigenvector, so no rescaling fixes one
+    h = np.array([[1.0, 2.0], [0.5, -1.0]])
+    with pytest.raises(NotPTSymmetricError, match=r"defect 1\.000e\+00 exceeds its budget \d\.\d+e-1\d"):
+        check_exactness(h, np.eye(2), AntilinearOperator(2.0 * np.eye(2)))
+    assert check_exactness(h, np.eye(2), AntilinearOperator(np.eye(2))).exact
+
+    # on the cluster of diag(1, 1, -1), tau = [[1, .5], [.5, 1]] gives
+    # |<e_k, PT e_k>| = 1, but it squares to [[1.25, 1], [1, 1.25]] and has no
+    # fixed vector there: only the returned columns themselves show it
+    h = np.diag([1.0, 1.0, -1.0])
+    tau = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(NotPTSymmetricError, match="PT does not act as an involution"):
+        check_exactness(h, np.eye(3), AntilinearOperator(tau))
+
+    # an involution that is not unitary still fixes its eigenvectors:
+    # P = [[1, x], [0, -1]] squares to 1, and H = a + b P commutes with P K
+    parity = np.array([[1.0, 40.0], [0.0, -1.0]])
+    report = check_exactness(0.3 * np.eye(2) + 0.7 * parity, parity, AntilinearOperator(np.eye(2)))
+    assert report.exact
+    fixed = report.fixed_eigenvectors
+    assert np.abs(parity @ np.conj(fixed) - fixed).max() <= 1e-12
+
+
+def _handle_case(case):
+    """``(H, P, tau)`` for the record-versus-matrix comparison below."""
+    rng = np.random.default_rng(61)
+    if case == "real":
+        s = rng.normal(size=(5, 5)) + 2.0 * np.eye(5)
+        return s @ np.diag([2.0, 1.0, 0.5, -1.0, -3.0]) @ np.linalg.inv(s), np.eye(5), np.eye(5)
+    if case == "general-t":
+        base = GeneralFamilyParams(0.3, 0.6, 1.2, 0.4, 0.7)
+        system = general_t_hamiltonian(base, TimeReversalParams(0.4, 1.1, 2.0))
+        return system.hamiltonian, system.parity, system.time_reversal.tau
+    if case == "cluster":
+        _, (h, tau) = _degenerate_hamiltonians(rng, 1)
+        return h, np.eye(h.shape[0]), tau
+    if case == "complex-spectrum":
+        return symmetric_hamiltonian(SymmetricFamilyParams(0.0, 2.0, 1.0, 0.0)), SIGMA3, np.eye(2)
+    if case == "near-defective":
+        return np.array([[1.0, 1.0], [1e-18, 1.0]]), np.eye(2), np.eye(2)
+    return rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), np.eye(2), np.eye(2)
+
+
+@pytest.mark.parametrize("case", ["real", "general-t", "cluster", "complex-spectrum", "near-defective"])
+def test_check_exactness_takes_the_decomposition_of_its_matrix(eig_calls, case):
+    h, parity, tau = _handle_case(case)
+    spectral = eigendecompose(h)
+    del eig_calls[:]
+    from_record = check_exactness(spectral, parity, AntilinearOperator(tau))
+    assert eig_calls == []
+    from_matrix = check_exactness(h, parity, AntilinearOperator(tau))
+    assert len(eig_calls) == 1
+    assert from_record.exact == from_matrix.exact == (case in ("real", "general-t", "cluster"))
+    assert from_record.failure_reason == from_matrix.failure_reason
+    if from_matrix.exact:
+        assert np.array_equal(from_record.fixed_eigenvectors, from_matrix.fixed_eigenvectors)
+    else:
+        assert from_record.fixed_eigenvectors is from_matrix.fixed_eigenvectors is None
+
+
+def test_check_exactness_refuses_a_record_of_a_matrix_without_the_symmetry(eig_calls):
+    h, parity, tau = _handle_case("not-pt")
+    spectral = eigendecompose(h)
+    messages = []
+    for hamiltonian in (spectral, h):
+        with pytest.raises(NotPTSymmetricError, match="PT commutator residual") as raised:
+            check_exactness(hamiltonian, parity, AntilinearOperator(tau))
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    # the matrix is decomposed before the PT gate, the record not again
+    assert len(eig_calls) == 2
+
+
+def test_check_exactness_decides_against_the_tolerance_of_the_record():
+    h = np.diag([1.0, 2.0 + 5e-9j])  # |Im w| = 5e-9 exceeds the default bound 3e-9
+    conj = AntilinearOperator(np.eye(2))
+    for hamiltonian in (h, eigendecompose(h, reality_rtol=1e-12)):
+        assert check_exactness(hamiltonian, np.eye(2), conj).failure_reason == "complex_eigenvalues"
+    report = check_exactness(eigendecompose(h, reality_rtol=1e-6), np.eye(2), conj)
+    assert report.exact
+    assert np.array_equal(report.fixed_eigenvectors, [[0.0, 1.0], [1.0, 0.0]])

@@ -47,7 +47,7 @@ def test_spec_validation():
         EvolutionSpec(h, np.ones(3))
     with pytest.raises(ValueError):
         EvolutionSpec(h, np.ones(2), t0=1.0, t1=1.0)
-    for steps in (0, 2.5, np.float64(3.0)):
+    for steps in (0, 2.5, np.float64(3.0), True):
         with pytest.raises(ValueError, match="steps must be an integer >= 1"):
             EvolutionSpec(h, np.ones(2), steps=steps)
     spec = EvolutionSpec(h, [1, 0])
@@ -277,7 +277,9 @@ def _loop_norms(spec, ip, indices=slice(None)):
     return norms
 
 
-@pytest.mark.parametrize("case", ["euclidean", "metric", "pseudo-eta", "broken", "generic-d8", "near-ep"])
+@pytest.mark.parametrize(
+    "case", ["euclidean", "metric", "pseudo-eta", "broken", "generic-d8", "near-ep", "degenerate-cluster"]
+)
 def test_trajectory_matches_per_sample_loop(case):
     rng = np.random.default_rng(97)
     h = symmetric_hamiltonian(BROKEN_POINT if case == "broken" else FAMILY_POINT)
@@ -300,6 +302,12 @@ def test_trajectory_matches_per_sample_loop(case):
         # (-1e7, 1e7), and the unit norm at t0 is a difference of two 1e14s
         h = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-7]])
         psi0 = np.array([0.0, 1.0])
+    elif case == "degenerate-cluster":
+        s = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) + 2.0 * np.eye(4)
+        h = s @ np.diag([1.0, 1.0, -0.5, -2.0]) @ np.linalg.inv(s)
+        psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+        kind = "metric"
+        ip = InnerProductKind.metric_eta(metric_from_hamiltonian(h))
     if kind == "euclidean":
         ip = InnerProductKind.euclidean()
     spec = EvolutionSpec(h, psi0, t0=-0.5, t1=4.0, steps=301)
