@@ -228,9 +228,9 @@ def check_exactness(hamiltonian, parity, time_reversal: AntilinearOperator) -> E
     order that moves ``|N_n|`` by at most
     ``2 ||E|| ||V^-1|| sum_m 1 / |w_n - w_m|``, where ``||V^-1|| <= cond(V)``
     for unit columns and the sum is at most ``d / sep``, ``sep`` the smallest
-    gap between clusters.  Forming ``PT f`` rounds by about
-    ``eps ||P tau||_F``, which a cluster's basis amplifies by at most
-    ``cond(V)``.  The budget is therefore
+    gap between clusters, which the routine that finds them measures too.
+    Forming ``PT f`` rounds by about ``eps ||P tau||_F``, which a cluster's
+    basis amplifies by at most ``cond(V)``.  The budget is therefore
     ``FIXED_POINT_MARGIN (rho + eps) cond(V) (||P tau||_F + d ||H||_F / sep)``.
     With ``T = 2K``, which squares to 4, every ``|N|`` is 2, far beyond it.
 
@@ -252,22 +252,20 @@ def check_exactness(hamiltonian, parity, time_reversal: AntilinearOperator) -> E
         return ExactnessReport(False, None, failure)
 
     v = spectral.eigenvectors
-    lin = as_square_matrix(parity) @ time_reversal.tau
+    # check_pt_symmetry has validated the parity
+    lin = np.asarray(parity, dtype=complex) @ time_reversal.tau
     chi = lin @ np.conj(v)
     # <psi, PT psi> = N, since <psi, psi> = 1: arg N fixes psi, and |N| must be 1
     overlap = np.einsum("ij,ij->j", v.conj(), chi)
     fixed = v * np.exp(0.5j * np.angle(overlap))
     defect = np.abs(np.abs(overlap) - 1.0)
-    clusters = _degenerate_clusters(spectral)
+    clusters, h_over_sep = _degenerate_clusters(spectral)
     for cluster in clusters:
         if len(cluster) > 1:
             fixed[:, cluster] = _pt_fix_cluster(v[:, cluster], chi[:, cluster])
             defect[cluster] = np.linalg.norm(lin @ np.conj(fixed[:, cluster]) - fixed[:, cluster], axis=0)
-    w = spectral.eigenvalues.real
-    _, h_norm, e = _norm_in_range(spectral.matrix)
-    sep = np.ldexp(min((w[c[0] - 1] - w[c[0]] for c in clusters[1:]), default=np.inf), -e)
     budget = FIXED_POINT_MARGIN * (residual + np.finfo(float).eps) * spectral.eigvec_condition
-    budget *= np.linalg.norm(lin) + len(w) * h_norm / sep
+    budget *= np.linalg.norm(lin) + len(v) * h_over_sep
     if not defect.max() <= budget:
         raise NotPTSymmetricError(
             f"PT fixed-point defect {defect.max():.3e} exceeds its budget {budget:.3e}: "

@@ -148,11 +148,11 @@ def _propagate(spec: EvolutionSpec, step: float, n: int, first: int = 0):
 
 
 def _state_norms(basis: np.ndarray, weighted: np.ndarray | None, a: np.ndarray):
-    """``(norms, finite)`` of the states ``psi_k = basis @ a_k``, one per column of ``a``.
+    """Norms of the states ``psi_k = basis @ a_k``, one per column of ``a``.
 
     ``norms[k]`` is ``sqrt(|Re psi_k^H W psi_k|)`` with ``W psi_k`` taken as
     ``weighted @ a_k``, where ``weighted`` is ``W @ basis`` (``None`` for the
-    Euclidean norm), and ``finite[k]`` says whether ``psi_k`` is finite.
+    Euclidean norm).
 
     A column whose square leaves the square of ``_norm_in_range``'s plain range
     (or is not finite) is scaled as that rule scales an operand, by the power
@@ -161,6 +161,12 @@ def _state_norms(basis: np.ndarray, weighted: np.ndarray | None, a: np.ndarray):
     back.  Every other column is scaled by ``2**0``, which moves no bit, and
     the whole block goes through the same products again, so blocking still
     moves no bit.  A norm beyond the double range reads ``inf``.
+
+    A norm is finite only where its state is, so a test of the norms alone
+    catches every non-finite state: a non-finite entry of ``psi_k`` makes its
+    sum of products non-finite (``inf * 0`` is NaN, and no float sum turns inf
+    or NaN into a finite value), and ``np.frexp`` gives such a column the
+    exponent 0, so the rescaling leaves it as it is.
     """
 
     def states_and_squares(a):
@@ -171,16 +177,15 @@ def _state_norms(basis: np.ndarray, weighted: np.ndarray | None, a: np.ndarray):
         return psi, np.abs(products[0::2] + products[1::2])
 
     psi, plain = states_and_squares(a)
-    finite = np.isfinite(psi).all(axis=0)
     lo, hi = _PLAIN_NORM_RANGE
     out = ~((lo * lo < plain) & (plain < hi * hi))
     if not out.any():
-        return np.sqrt(plain), finite
+        return np.sqrt(plain)
     peaks = np.abs(psi.view(float)).reshape(a.shape[0], -1, 2).max(axis=(0, 2))
     e = np.where(out, np.frexp(peaks)[1], 0)
     parts = a.view(float).reshape(a.shape[0], -1, 2)
     scaled = np.ldexp(parts, -e[:, None]).view(complex)[..., 0]
-    return np.ldexp(np.sqrt(states_and_squares(scaled)[1]), e), finite
+    return np.ldexp(np.sqrt(states_and_squares(scaled)[1]), e)
 
 
 def evolve(spec: EvolutionSpec, time: float) -> np.ndarray:
@@ -262,8 +267,8 @@ def norm_trajectory(spec: EvolutionSpec, kind="euclidean") -> NormTrajectory:
         weighted = None if ip.weight is None else ip.weight @ basis
         for a in blocks:
             block = norms[start:start + a.shape[1]]
-            block[:], finite = _state_norms(basis, weighted, a)
-            finite &= np.isfinite(block)
+            block[:] = _state_norms(basis, weighted, a)
+            finite = np.isfinite(block)
             if not finite.all():
                 bad = times[start + np.argmin(finite)]
                 raise NonFiniteError(f"propagated state is not finite at t = {bad}")

@@ -234,24 +234,22 @@ class BiorthonormalSystem:
         return float(np.linalg.norm(d))
 
 
-def _degenerate_clusters(spectral: SpectralData) -> list[list[int]]:
-    """Group the indices of ``spectral``'s (sorted) real eigenvalues into degenerate clusters.
+def _degenerate_clusters(spectral: SpectralData) -> tuple[list[list[int]], float]:
+    """``(clusters, ||H||_F / sep)`` of ``spectral``'s (sorted) real eigenvalues.
 
     Neighbours join a cluster when their gap is at most
     ``DEGENERATE_GAP_RTOL * ||spectral.matrix||_F``; both sides are scaled by
     the power of two of :func:`_norm_in_range`, so the norm cannot overflow to
-    ``inf`` and merge every eigenvalue.
+    ``inf`` and merge every eigenvalue.  ``sep`` is the smallest gap between
+    neighbouring clusters, taken on the same scaled values, so the ratio does
+    not change with the scale of ``H``; it is 0 for a single cluster.
     """
     _, scale, e = _norm_in_range(spectral.matrix)
-    w = np.ldexp(spectral.eigenvalues.real, -e)
-    gap = DEGENERATE_GAP_RTOL * scale
-    clusters: list[list[int]] = [[0]]
-    for k in range(1, len(w)):
-        if abs(w[k] - w[k - 1]) <= gap:
-            clusters[-1].append(k)
-        else:
-            clusters.append([k])
-    return clusters
+    steps = np.abs(np.diff(np.ldexp(spectral.eigenvalues.real, -e)))
+    split = steps > DEGENERATE_GAP_RTOL * scale
+    bounds = [0, *(np.flatnonzero(split) + 1).tolist(), len(steps) + 1]
+    clusters = [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    return clusters, scale / steps[split].min(initial=np.inf)
 
 
 def biorthonormalize(matrix, *, normalization: str = "unit") -> BiorthonormalSystem:
@@ -309,7 +307,7 @@ def biorthonormalize(matrix, *, normalization: str = "unit") -> BiorthonormalSys
 
     w = spectral.eigenvalues.real.copy()
     v = spectral.eigenvectors.copy()
-    clusters = _degenerate_clusters(spectral)
+    clusters, _ = _degenerate_clusters(spectral)
 
     if normalization == "unit":
         for cluster in clusters:

@@ -110,13 +110,14 @@ def _positive_metric(build_system, *args) -> MetricOperator:
 
     ``build_system`` returns a biorthonormal system.  A complex spectrum, a
     near-defective eigenbasis or an indefinite ``eta_plus`` each mean that no
-    positive metric exists, and each is re-raised as that one error.
+    positive metric exists, and each is re-raised as that one error, whose
+    message ends with the wrapped one: the measured value and its threshold.
     """
     try:
         return build_eta_plus(build_system(*args))
     except (ComplexSpectrumError, NotDiagonalizableError, NotPositiveDefiniteError) as exc:
         raise NoPositiveMetricError(
-            "no positive-definite metric exists for this Hamiltonian"
+            f"no positive-definite metric exists for this Hamiltonian: {exc}"
         ) from exc
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pht import __version__
 from pht.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -361,6 +362,17 @@ def test_family_overflow_exits_2(capsys, kind):
     assert err == OVERFLOW_ERROR
 
 
+def python_m_pht(*argv):
+    """``(exit code, stdout, stderr)`` of ``python -m pht`` in a fresh interpreter."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pht", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -370,14 +382,12 @@ def test_family_overflow_exits_2(capsys, kind):
 )
 def test_family_overflow_prints_only_the_error_line(flags):
     # a fresh interpreter prints numpy's RuntimeWarnings, which pytest would capture
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pht", "family", *flags],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_INPUT, "", OVERFLOW_ERROR)
+    assert python_m_pht("family", *flags) == (EXIT_INPUT, "", OVERFLOW_ERROR)
+
+
+def test_module_entry_point_prints_the_version():
+    # python -m pht is the one module entry point; the pht script calls the same main
+    assert python_m_pht("--version") == (EXIT_OK, f"pht {__version__}\n", "")
 
 
 # Entries near the top of the double range: Frobenius norms of these overflow.
@@ -576,6 +586,8 @@ def test_evolve_broken_metric_exits_3(tmp_path, capsys):
     rc, _, err = run(capsys, ["evolve", h_path, "--state", s_path, "--norm", "metric"])
     assert rc == EXIT_SYMMETRY
     assert "NoPositiveMetric" in err
+    # the refusal names the measured |Im w| = sqrt(3) and its reality bound
+    assert "|Im w| = 1.732e+00 exceeds its reality bound" in err
 
 
 def test_evolve_rejects_bad_window_and_state(tmp_path, capsys):

@@ -410,9 +410,13 @@ def test_non_finite_refusals_come_without_numpy_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError, match=r"\[t0, t1\] = \[0.0, inf\]"):
             EvolutionSpec(ROTATION, [1.0, 0.0], t1=np.inf, steps=4)
+        # ROTATION's state (cosh t, i sinh t) overflows at t = 750, though its
+        # sigma3 norm is 1 in exact arithmetic: weighted kinds name that time too
+        weights = (SIGMA3, np.array([[2.0, 1.0], [1.0, 3.0]]))
         for h in (ROTATION, defective):
-            with pytest.raises(NonFiniteError, match="not finite at t = 750.0"):
-                norm_trajectory(EvolutionSpec(h, [1.0, 0.0], t1=1000.0, steps=4))
+            for kind in ("euclidean", *map(InnerProductKind.pseudo_eta, weights)):
+                with pytest.raises(NonFiniteError, match="not finite at t = 750.0"):
+                    norm_trajectory(EvolutionSpec(h, [1.0, 0.0], t1=1000.0, steps=4), kind)
 
 
 @pytest.mark.parametrize(

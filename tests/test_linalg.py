@@ -20,6 +20,7 @@ from pht.linalg import (
     SIGMA2,
     SIGMA3,
     SpectrumClass,
+    _degenerate_clusters,
     _pauli_exp,
     as_square_matrix,
     as_state_vector,
@@ -171,6 +172,42 @@ def test_biorthonormalize_handles_degenerate_eigenspace():
     system = biorthonormalize(h)
     npt.assert_allclose(system.phi.conj().T @ system.psi, np.eye(3), atol=DUALITY_ATOL)
     assert system.completeness_residual() < 1e-12
+
+
+def test_exact_cluster_with_an_ill_conditioned_raw_basis():
+    # eig's basis inside an exactly degenerate cluster is arbitrary, so its
+    # condition can exceed cond(S) several times over; the cluster is still
+    # found whole, and the unit system's residual follows that condition
+    eps = np.finfo(float).eps
+    ratios = []
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(3, 9))
+        k = int(rng.integers(2, d))
+        s = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        w = np.concatenate([np.ones(k), rng.uniform(-3.0, -0.5, d - k)])
+        spectral = eigendecompose(s @ np.diag(w) @ np.linalg.inv(s))
+        assert spectral.classification is SpectrumClass.REAL_DIAGONALIZABLE
+        assert _degenerate_clusters(spectral)[0][0] == list(range(k))
+        residual = biorthonormalize(spectral).completeness_residual()
+        assert residual <= 4 * d * eps * spectral.eigvec_condition
+        ratios.append(spectral.eigvec_condition / np.linalg.cond(s))
+    assert max(ratios) > 2.0
+
+
+@pytest.mark.parametrize(
+    "h", [np.array([[5.0]]), 2.0 * np.eye(3), np.zeros((3, 3))], ids=["d1", "one-cluster", "zero"]
+)
+def test_one_cluster_has_no_separation_ratio(h):
+    assert _degenerate_clusters(eigendecompose(h)) == ([list(range(h.shape[0]))], 0.0)
+
+
+@pytest.mark.parametrize("j", [0, 600, -600])
+def test_separation_ratio_is_the_norm_over_the_smallest_cluster_gap(j):
+    # gaps 2 and 3 between the clusters {3}, {1, 1}, {-2}; ||H||_F = sqrt(15)
+    clusters, ratio = _degenerate_clusters(eigendecompose(np.ldexp(np.diag([3.0, 1.0, 1.0, -2.0]), j)))
+    assert clusters == [[0], [1, 2], [3]]
+    assert ratio == np.sqrt(15.0) / 2.0
 
 
 def test_biorthonormalize_rejects_complex_spectrum():
