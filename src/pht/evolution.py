@@ -5,12 +5,13 @@ Units put hbar = 1.  For a quasi-Hermitian ``H`` the metric norm
 Euclidean norm generally is not; in the spontaneously broken regime the
 Euclidean norm grows like ``exp(|Im E| t)``.
 
-One propagator serves :func:`evolve` and :func:`norm_trajectory`.  It works
-in eigen-coordinates: for a diagonalizable ``H = V diag(w) V^{-1}`` the state
-is ``V a(t)`` with coefficients ``a(t) = exp(-i w (t - t0)) * c`` and
-``c = V^{-1} psi0``, solved once per call.  On the trajectory's grid the
-phases are evaluated at ``t0 + k dt``, within an ulp or so of ``times[k]``,
-as products of two exponentials of the grid (one per block of about
+Everything works in eigen-coordinates: for a diagonalizable
+``H = V diag(w) V^{-1}`` the state is ``V a(t)`` with coefficients
+``a(t) = exp(-i w (t - t0)) * c``, and ``c = V^{-1} psi0`` is solved once per
+spec.  :func:`evolve` forms one such state with one exponential per
+eigenvalue and one matrix-vector product.  On a trajectory's grid the phases
+are evaluated at ``t0 + k dt``, within an ulp or so of ``times[k]``, as
+products of two exponentials of the grid (one per block of about
 ``sqrt(steps)`` samples, one per offset inside it).  A trajectory forms each
 state ``V a`` and its weighted partner ``(W V) a``, with ``W V`` formed once
 per call, and reduces the pair to the squared norm ``Re psi^H W psi``; a
@@ -59,7 +60,8 @@ class EvolutionSpec:
     caller's arrays, so later writes to those arrays do not reach the spec.
     The spec decomposes ``H`` once, on first use by :func:`evolve` or
     :func:`norm_trajectory`, and every later call on the same spec shares
-    that decomposition.  Given an :func:`~pht.linalg.eigendecompose` record
+    that decomposition and its one solve for the coefficients of the initial
+    state.  Given an :func:`~pht.linalg.eigendecompose` record
     as ``hamiltonian``, the spec holds the record's matrix and uses the
     record as its decomposition, whose ``reality_rtol`` then decides the
     ``"metric"`` norm.
@@ -97,20 +99,24 @@ class EvolutionSpec:
         """``eigendecompose(self.hamiltonian)``, computed on first use."""
         return eigendecompose(self.hamiltonian)
 
+    @cached_property
+    def _coefficients(self) -> np.ndarray:
+        """``c = V^{-1} psi0`` in the eigenbasis ``V`` of ``_spectral``, solved on first use."""
+        return np.linalg.solve(self._spectral.eigenvectors, self.initial_state)
 
-def _propagate(spec: EvolutionSpec, step: float, n: int, first: int = 0):
-    """``(basis, blocks)`` with ``psi(t0 + k step) = basis @ a_k`` for ``first <= k < n``.
+
+def _propagate(spec: EvolutionSpec, step: float, n: int):
+    """``(basis, blocks)`` with ``psi(t0 + k step) = basis @ a_k`` for ``0 <= k < n``.
 
     ``blocks`` yields the coefficients ``a_k`` in order, as the columns of
     consecutive ``(d, m)`` blocks.  Each block holds at most ``_BLOCK_ENTRIES``
     complex entries, so memory grows with the block and not with ``n``.
 
     A diagonalizable ``H = V diag(w) V^{-1}`` has basis ``V`` and
-    ``a_k = exp(-i w k step) * c`` with ``c = V^{-1} psi0``, exact up to
-    ``cond(V) eps``.  Its phases come from two levels of the grid: with
-    ``k = first + q b + r`` and ``b`` the least power of two with
-    ``b**2 >= n - first``, capped at the block width,
-    ``exp(-i w k step) = exp(-i w (first + q b) step) exp(-i w r step)``, about
+    ``a_k = exp(-i w k step) * c`` with the spec's ``c = V^{-1} psi0``, exact
+    up to ``cond(V) eps``.  Its phases come from two levels of the grid: with
+    ``k = q b + r`` and ``b`` the least power of two with ``b**2 >= n``, capped
+    at the block width, ``exp(-i w k step) = exp(-i w q b step) exp(-i w r step)``, about
     ``d (n / b + b)`` exponentials and one product per entry instead of
     ``d n`` exponentials.  ``q`` and ``r`` index the whole grid and a block is
     whole rows ``q``, so a block's entries do not depend on where blocks
@@ -129,18 +135,17 @@ def _propagate(spec: EvolutionSpec, step: float, n: int, first: int = 0):
     width = 1 << max(0, (_BLOCK_ENTRIES // d).bit_length() - 1)
     if spectral.classification is SpectrumClass.NEAR_DEFECTIVE:
         def dense():
-            for start in range(first, n, width):
+            for start in range(0, n, width):
                 ks = range(start, min(n, start + width))
                 yield np.stack([matrix_exp(-1j * h * (k * step)) @ psi0 for k in ks], axis=1)
 
         return np.eye(d, dtype=complex), dense()
     rates = -1j * spectral.eigenvalues
-    b = min(1 << math.isqrt(n - first - 1).bit_length(), width)
-    coeff = np.linalg.solve(spectral.eigenvectors, psi0)
-    fine = np.exp(rates[:, None] * (np.arange(b) * step)) * coeff[:, None]
+    b = min(1 << math.isqrt(n - 1).bit_length(), width)
+    fine = np.exp(rates[:, None] * (np.arange(b) * step)) * spec._coefficients[:, None]
 
     def spectral_blocks():
-        for start in range(first, n, width):
+        for start in range(0, n, width):
             coarse = np.exp(rates[:, None] * (np.arange(start, min(n, start + width), b) * step))
             yield (coarse[:, :, None] * fine[:, None, :]).reshape(d, -1)[:, :n - start]
 
@@ -191,8 +196,12 @@ def _state_norms(basis: np.ndarray, weighted: np.ndarray | None, a: np.ndarray):
 def evolve(spec: EvolutionSpec, time: float) -> np.ndarray:
     """State at ``time``; only times inside the configured window are allowed.
 
-    Propagates from the spec's one decomposition of its read-only ``H``,
-    made on first use and shared by every call on the same spec.
+    Propagates from the spec's one decomposition of its read-only ``H`` and
+    its one solve for ``c = V^{-1} psi0``, made on first use and shared by
+    every call on the same spec: the state is ``V (exp(-i w (time - t0)) * c)``,
+    one exponential per eigenvalue and one matrix-vector product, bit for bit
+    sample 1 of the trajectory grid ``t0 + k (time - t0)``.  A near-defective
+    ``H`` takes one dense matrix exponential instead.
 
     Raises
     ------
@@ -203,10 +212,13 @@ def evolve(spec: EvolutionSpec, time: float) -> np.ndarray:
     """
     if time < spec.t0 or time > spec.t1:
         raise OutOfRangeError(f"time {time} outside window [{spec.t0}, {spec.t1}]")
-    # sample 1 alone of the grid t0 + k (time - t0)
+    spectral = spec._spectral
     with np.errstate(over="ignore", invalid="ignore"):
-        basis, blocks = _propagate(spec, time - spec.t0, 2, first=1)
-        state = basis @ next(blocks)[:, 0]
+        if spectral.classification is SpectrumClass.NEAR_DEFECTIVE:
+            state = matrix_exp(-1j * spec.hamiltonian * (time - spec.t0)) @ spec.initial_state
+        else:
+            phases = np.exp(-1j * spectral.eigenvalues * (time - spec.t0))
+            state = spectral.eigenvectors @ (phases * spec._coefficients)
     if not np.isfinite(state).all():
         raise NonFiniteError(f"propagated state is not finite at t = {time}")
     return state
@@ -288,5 +300,7 @@ def fit_growth_rate(trajectory: NormTrajectory) -> float:
     mask = t >= cut
     if np.count_nonzero(mask) < 2 or np.any(trajectory.norms[mask] <= 0.0):
         raise ValueError("not enough positive samples in the fit window")
-    slope, _ = np.polyfit(t[mask], np.log(trajectory.norms[mask]), 1)
-    return float(slope)
+    # the centred least-squares slope sum (t - mean t)(y - mean y) / sum (t - mean t)^2
+    t, y = t[mask], np.log(trajectory.norms[mask])
+    t = t - t.mean()
+    return float(t @ (y - y.mean()) / (t @ t))

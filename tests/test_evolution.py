@@ -166,6 +166,17 @@ def test_one_spec_decomposes_h_once(eig_calls):
     assert len(eig_calls) == 1 + len(SPEC_CALLS)
 
 
+def test_one_spec_solves_for_its_coefficients_once(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(args) or solve(*args))
+    h = symmetric_hamiltonian(FAMILY_POINT)
+    spec = EvolutionSpec(h, np.array([0.3 + 0.1j, -0.8]), t0=0.0, t1=4.0, steps=40)
+    for call in SPEC_CALLS:
+        call(spec)
+    assert len(calls) == 1
+
+
 def test_refused_metric_still_shares_the_decomposition(eig_calls):
     spec = EvolutionSpec(symmetric_hamiltonian(BROKEN_POINT), np.array([1.0, 0.0]), t1=2.0, steps=20)
     with pytest.raises(NoPositiveMetricError):
@@ -234,6 +245,38 @@ def test_near_defective_falls_back_to_dense_exponential(monkeypatch):
     assert len(calls) == 3
 
 
+def test_near_defective_evolve_takes_one_dense_exponential(monkeypatch):
+    # a 3x3 Jordan block at 0.3: exp(-iHt) = e^(-0.3it) (1 - iNt - N^2 t^2 / 2)
+    h = 0.3 * np.eye(3) + np.eye(3, k=1)
+    spec = EvolutionSpec(h, np.array([0.0, 0.0, 1.0]), t0=0.5, t1=3.0)
+    calls = []
+    monkeypatch.setattr(evolution, "matrix_exp", lambda m: calls.append(m) or matrix_exp(m))
+    for t in (0.5, 1.25, 3.0):
+        s = t - 0.5
+        expected = np.exp(-0.3j * s) * np.array([-0.5 * s * s, -1j * s, 1.0])
+        npt.assert_allclose(evolve(spec, t), expected, rtol=0, atol=1e-12)
+        assert len(calls) == 1
+        calls.clear()
+
+
+@pytest.mark.parametrize("real_h", [True, False], ids=["real-h", "complex-h"])
+def test_evolve_is_bit_identical_to_sample_one_of_the_grid(real_h):
+    # evolve(spec, t) is sample 1 of the two-sample trajectory grid {t0, t},
+    # with exp(0) = 1 in place of its first phase
+    rng = np.random.default_rng(113)
+    for d in (2, 3, 5, 8, 16):
+        for _ in range(10):
+            s = rng.normal(size=(d, d)) + (0 if real_h else 1j) * rng.normal(size=(d, d)) + 2.0 * np.eye(d)
+            w = rng.normal(size=d) + (0 if real_h else 1j) * rng.normal(size=d)
+            h = s @ np.diag(w) @ np.linalg.inv(s)
+            if real_h:
+                h = h.real
+            spec = EvolutionSpec(h, rng.normal(size=d) + 1j * rng.normal(size=d), t0=-0.5, t1=2.0)
+            t = float(rng.uniform(-0.5, 2.0))
+            basis, blocks = evolution._propagate(spec, t - spec.t0, 2)
+            assert np.array_equal(evolve(spec, t), basis @ next(blocks)[:, 1]), (d, t)
+
+
 def test_fit_growth_rate_exact_exponential():
     times = np.linspace(0.0, 4.0, 200)
     traj = NormTrajectory(times, np.exp(0.7 * times), kind="euclidean")
@@ -252,6 +295,23 @@ def test_fit_growth_rate_validation():
     bad = NormTrajectory(np.linspace(0, 1, 10), np.zeros(10))
     with pytest.raises(ValueError):
         fit_growth_rate(bad)
+    # one sample in the fit window, the last of three
+    with pytest.raises(ValueError, match="not enough positive samples"):
+        fit_growth_rate(NormTrajectory(np.array([0.0, 0.1, 1.0]), np.ones(3)))
+
+
+def test_fit_growth_rate_matches_polyfit_on_noisy_exponentials():
+    rng = np.random.default_rng(127)
+    for _ in range(50):
+        n = int(rng.integers(3, 3000))
+        t0 = rng.uniform(-100.0, 100.0)
+        times = np.linspace(t0, t0 + rng.uniform(0.1, 50.0), n)
+        rate = rng.uniform(-3.0, 3.0)
+        norms = rng.uniform(0.1, 10.0) * np.exp(rate * times + 0.05 * rng.normal(size=n))
+        tail = times >= times[0] + evolution.GROWTH_FIT_SKIP * (times[-1] - times[0])
+        expected = np.polyfit(times[tail], np.log(norms[tail]), 1)[0]
+        got = fit_growth_rate(NormTrajectory(times, norms))
+        assert got == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def _diagonalizable(rng, d, real_spectrum=True):
@@ -326,7 +386,10 @@ C_PHASE = 4.0
 
 
 @pytest.mark.parametrize("d", [2, 8])
-@pytest.mark.parametrize("regime, kind", [("exact", "euclidean"), ("exact", "metric"), ("broken", "euclidean")])
+@pytest.mark.parametrize(
+    "regime, kind",
+    [("exact", "euclidean"), ("exact", "metric"), ("broken", "euclidean"), ("degenerate-cluster", "metric")],
+)
 def test_long_window_matches_per_sample_loop(d, regime, kind):
     # 100 000 steps over ||H|| (t1 - t0) = 1e4: the two-level phases must stay
     # as accurate as one exponential per sample, to within the rounding of the
@@ -337,6 +400,9 @@ def test_long_window_matches_per_sample_loop(d, regime, kind):
     if regime == "broken":
         # small imaginary parts: growth and decay stay within about e^(+-20)
         w = w + 2e-3j * rng.normal(size=d)
+    elif regime == "degenerate-cluster":
+        # a double eigenvalue: the metric's basis spans it by a QR of the cluster
+        w[1] = w[0]
     h = s @ np.diag(w) @ np.linalg.inv(s)
     h_norm = np.linalg.norm(h, 2)
     span = 1e4 / h_norm
