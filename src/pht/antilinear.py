@@ -21,6 +21,8 @@ from .linalg import (
     _degenerate_clusters,
     _norm_in_range,
     _pauli_exp,
+    _real_if_all_real,
+    _real_if_real,
     _relative_residual,
     _require_nonsingular,
     as_square_matrix,
@@ -145,23 +147,40 @@ def check_pt_symmetry(hamiltonian, parity, time_reversal: AntilinearOperator) ->
     :func:`~pht.linalg._norm_in_range` (``P`` in the singularity gate) and the
     residual is scaled back by their powers of two: the product ``H P tau``
     can neither overflow nor underflow, and only a residual that itself leaves
-    the double range reads ``inf`` or 0.
+    the double range reads ``inf`` or 0.  The products run in real arithmetic
+    when ``H``, ``P`` and ``tau`` are all real-valued.
 
     Raises
     ------
     SingularParityError
         If ``parity`` is numerically singular.
     """
-    h = as_square_matrix(hamiltonian)
+    return _pt_residual(_norm_in_range(as_square_matrix(hamiltonian)), parity, time_reversal)[0]
+
+
+def _pt_residual(measured, parity, time_reversal: AntilinearOperator) -> tuple[float, np.ndarray]:
+    """``(residual, P tau)``: :func:`check_pt_symmetry` for ``H`` as ``_norm_in_range`` measured it.
+
+    The one body of the PT gate, shared by :func:`check_pt_symmetry` and
+    :func:`check_exactness`, so that the latter measures ``H`` once and forms
+    ``P tau`` once.  ``P tau`` is returned at the operands' own scale (the
+    powers of two are exact), real when ``P`` and ``tau`` are real-valued.
+    """
+    h, norm, _ = measured
     p = as_square_matrix(parity)
     if h.shape != p.shape or p.shape[0] != time_reversal.dim:
         raise DimensionMismatchError("hamiltonian, parity and time reversal dims must agree")
     p, e_p = _require_nonsingular(p, SingularParityError, "parity operator")
     tau, _, e_tau = _norm_in_range(time_reversal.tau)
+    if not np.iscomplexobj(p):
+        # the gate has found P real-valued
+        tau, h = _real_if_all_real(tau, h)
     lin = p @ tau
-    residual = _relative_residual(h, lambda m: m @ lin - lin @ np.conj(m))
+    residual = _relative_residual(h, lambda m: m @ lin - lin @ np.conj(m), norm)
+    e = e_p + e_tau
     with np.errstate(over="ignore"):
-        return float(np.ldexp(residual, e_p + e_tau))
+        residual = float(np.ldexp(residual, e))
+        return residual, np.ldexp(lin.view(float), e).view(lin.dtype) if e else lin
 
 
 @dataclass(frozen=True)
@@ -217,7 +236,9 @@ def check_exactness(hamiltonian, parity, time_reversal: AntilinearOperator) -> E
     ``hamiltonian`` is a square matrix or its :func:`eigendecompose` record,
     which is used as it is: the spectrum is then real to within the record's
     ``reality_rtol``, and no second ``eig`` is made.  A matrix is decomposed
-    first, and the ``PT`` gate reads the record's matrix either way.
+    first, and the ``PT`` gate reads the record's matrix either way; that
+    matrix is measured once and ``P tau`` formed once for the gate, the
+    clusters and the fixed points, in real arithmetic where all are real.
 
     Every returned column ``f`` is checked to be fixed.  Its defect is
     ``||N| - 1|`` for a nondegenerate eigenvector (that is ``|PT f - f|``
@@ -233,6 +254,9 @@ def check_exactness(hamiltonian, parity, time_reversal: AntilinearOperator) -> E
     basis amplifies by at most ``cond(V)``.  The budget is therefore
     ``FIXED_POINT_MARGIN (rho + eps) cond(V) (||P tau||_F + d ||H||_F / sep)``.
     With ``T = 2K``, which squares to 4, every ``|N|`` is 2, far beyond it.
+    ``cond(V)`` is the record's ``eigvec_condition``, an SVD, which is taken
+    only when the defect exceeds the budget at ``cond(V) = 1``, its least
+    value; the verdict is the same.
 
     Raises
     ------
@@ -242,7 +266,8 @@ def check_exactness(hamiltonian, parity, time_reversal: AntilinearOperator) -> E
         involution on the eigenvectors.
     """
     spectral = hamiltonian if isinstance(hamiltonian, SpectralData) else eigendecompose(hamiltonian)
-    residual = check_pt_symmetry(spectral.matrix, parity, time_reversal)
+    measured = _norm_in_range(spectral.matrix)
+    residual, lin = _pt_residual(measured, parity, time_reversal)
     if not residual <= PT_RESIDUAL_TOL:
         raise NotPTSymmetricError(
             f"PT commutator residual {residual:.3e} exceeds {PT_RESIDUAL_TOL:.1e}"
@@ -252,23 +277,26 @@ def check_exactness(hamiltonian, parity, time_reversal: AntilinearOperator) -> E
         return ExactnessReport(False, None, failure)
 
     v = spectral.eigenvectors
-    # check_pt_symmetry has validated the parity
-    lin = np.asarray(parity, dtype=complex) @ time_reversal.tau
-    chi = lin @ np.conj(v)
+    chi = lin @ np.conj(v if np.iscomplexobj(lin) else _real_if_real(v))
     # <psi, PT psi> = N, since <psi, psi> = 1: arg N fixes psi, and |N| must be 1
     overlap = np.einsum("ij,ij->j", v.conj(), chi)
     fixed = v * np.exp(0.5j * np.angle(overlap))
     defect = np.abs(np.abs(overlap) - 1.0)
-    clusters, h_over_sep = _degenerate_clusters(spectral)
+    clusters, h_over_sep = _degenerate_clusters(spectral, measured)
     for cluster in clusters:
         if len(cluster) > 1:
             fixed[:, cluster] = _pt_fix_cluster(v[:, cluster], chi[:, cluster])
             defect[cluster] = np.linalg.norm(lin @ np.conj(fixed[:, cluster]) - fixed[:, cluster], axis=0)
-    budget = FIXED_POINT_MARGIN * (residual + np.finfo(float).eps) * spectral.eigvec_condition
-    budget *= np.linalg.norm(lin) + len(v) * h_over_sep
-    if not defect.max() <= budget:
-        raise NotPTSymmetricError(
-            f"PT fixed-point defect {defect.max():.3e} exceeds its budget {budget:.3e}: "
-            "PT does not act as an involution on the eigenvectors"
-        )
+    rate = FIXED_POINT_MARGIN * (residual + np.finfo(float).eps)
+    spread = np.linalg.norm(lin) + len(v) * h_over_sep
+    # The budget grows with cond(V), whose least value is 1 (an SVD's ratio
+    # sigma_max / sigma_min is at least 1 too): a defect within the budget at
+    # 1 needs no SVD.
+    if not defect.max() <= rate * spread:
+        budget = rate * spectral.eigvec_condition * spread
+        if not defect.max() <= budget:
+            raise NotPTSymmetricError(
+                f"PT fixed-point defect {defect.max():.3e} exceeds its budget {budget:.3e}: "
+                "PT does not act as an involution on the eigenvectors"
+            )
     return ExactnessReport(True, fixed, None)

@@ -7,9 +7,10 @@ Euclidean norm grows like ``exp(|Im E| t)``.
 
 Everything works in eigen-coordinates: for a diagonalizable
 ``H = V diag(w) V^{-1}`` the state is ``V a(t)`` with coefficients
-``a(t) = exp(-i w (t - t0)) * c``, and ``c = V^{-1} psi0`` is solved once per
-spec.  :func:`evolve` forms one such state with one exponential per
-eigenvalue and one matrix-vector product.  On a trajectory's grid the phases
+``a(t) = exp(-i w (t - t0)) * c``, and ``c = V^{-1} psi0`` is formed once per
+spec, one matrix-vector product with the decomposition's own inverse.
+:func:`evolve` forms one such state with one exponential per eigenvalue and
+one matrix-vector product.  On a trajectory's grid the phases
 are evaluated at ``t0 + k dt``, within an ulp or so of ``times[k]``, as
 products of two exponentials of the grid (one per block of about
 ``sqrt(steps)`` samples, one per offset inside it).  A trajectory forms each
@@ -47,9 +48,10 @@ from .metric import InnerProductKind, _positive_metric
 
 # Leading fraction of the time window that fit_growth_rate leaves out.
 GROWTH_FIT_SKIP = 0.4
-# Complex entries per propagated block of the time grid (4 MiB), which bounds
-# the memory of a trajectory whatever its number of steps.
-_BLOCK_ENTRIES = 2**18
+# Complex entries per propagated block of the time grid (128 KiB), which bounds
+# the memory of a trajectory whatever its number of steps, and keeps a block's
+# arrays small enough to be reused from call to call without new pages.
+_BLOCK_ENTRIES = 2**13
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,8 @@ class EvolutionSpec:
     caller's arrays, so later writes to those arrays do not reach the spec.
     The spec decomposes ``H`` once, on first use by :func:`evolve` or
     :func:`norm_trajectory`, and every later call on the same spec shares
-    that decomposition and its one solve for the coefficients of the initial
-    state.  Given an :func:`~pht.linalg.eigendecompose` record
+    that decomposition and its one product for the coefficients of the
+    initial state.  Given an :func:`~pht.linalg.eigendecompose` record
     as ``hamiltonian``, the spec holds the record's matrix and uses the
     record as its decomposition, whose ``reality_rtol`` then decides the
     ``"metric"`` norm.
@@ -101,8 +103,8 @@ class EvolutionSpec:
 
     @cached_property
     def _coefficients(self) -> np.ndarray:
-        """``c = V^{-1} psi0`` in the eigenbasis ``V`` of ``_spectral``, solved on first use."""
-        return np.linalg.solve(self._spectral.eigenvectors, self.initial_state)
+        """``c = V^{-1} psi0`` in the eigenbasis ``V`` of ``_spectral``, formed on first use."""
+        return self._spectral.eigenvectors_inv @ self.initial_state
 
 
 def _propagate(spec: EvolutionSpec, step: float, n: int):
@@ -197,7 +199,7 @@ def evolve(spec: EvolutionSpec, time: float) -> np.ndarray:
     """State at ``time``; only times inside the configured window are allowed.
 
     Propagates from the spec's one decomposition of its read-only ``H`` and
-    its one solve for ``c = V^{-1} psi0``, made on first use and shared by
+    its one product for ``c = V^{-1} psi0``, made on first use and shared by
     every call on the same spec: the state is ``V (exp(-i w (time - t0)) * c)``,
     one exponential per eigenvalue and one matrix-vector product, bit for bit
     sample 1 of the trajectory grid ``t0 + k (time - t0)``.  A near-defective

@@ -5,6 +5,12 @@ Conventions used throughout the package:
 * matrices are dense complex ``numpy`` arrays,
 * a real-valued operator (every imaginary part exactly zero) is decomposed
   in real arithmetic, and the results are cast back, so they stay complex,
+* a cubic product (a matrix product or an inverse) whose operands are all
+  real-valued runs in real arithmetic too, and is cast back the same way;
+  each operand's realness is read once per call, from its dtype or one
+  ``.imag.any()``, so a real product gives the same values as the complex
+  one up to rounding, and an imaginary part that would read ``-0.0`` reads
+  ``0.0``,
 * eigenvalues are ordered by descending real part (ties by descending
   imaginary part),
 * residuals are measured in the Frobenius norm.
@@ -14,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -86,14 +93,25 @@ def as_state_vector(state) -> np.ndarray:
     return v
 
 
-def _real_if_real(m: np.ndarray) -> np.ndarray:
-    """``m.real`` when no imaginary part of ``m`` is nonzero, otherwise ``m``.
+def _real_if_all_real(*ms: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The operands of one LAPACK call or product, as real arrays when all are real-valued.
 
-    Dense LAPACK calls take their operand through this helper: the real
-    routines do about a quarter of the flops of the complex ones.  Callers
-    cast the results back with ``astype(complex, copy=False)``.
+    The real routines do about a quarter of the flops of the complex ones.
+    When no operand has a nonzero imaginary part, each complex one is replaced
+    by a contiguous copy of its real part (BLAS takes no operand with the
+    stride of a complex array's real part); otherwise all are returned as
+    they are.  The test stops at the first operand with a nonzero imaginary
+    part, so no operand is read twice and a complex one spares the rest.
+    Callers cast the results back with ``astype(complex, copy=False)``.
     """
-    return m if m.imag.any() else m.real
+    if any(np.iscomplexobj(m) and m.imag.any() for m in ms):
+        return ms
+    return tuple(np.ascontiguousarray(m.real) if np.iscomplexobj(m) else m for m in ms)
+
+
+def _real_if_real(m: np.ndarray) -> np.ndarray:
+    """:func:`_real_if_all_real` of one operand."""
+    return _real_if_all_real(m)[0]
 
 
 def _norm_in_range(m: np.ndarray) -> tuple[np.ndarray, float, int]:
@@ -120,15 +138,18 @@ def _norm_in_range(m: np.ndarray) -> tuple[np.ndarray, float, int]:
     return scaled, float(np.linalg.norm(scaled)), e
 
 
-def _relative_residual(m: np.ndarray, residual_of) -> float:
+def _relative_residual(m: np.ndarray, residual_of, norm: float | None = None) -> float:
     """``||residual_of(m)||_F / ||m||_F``, and 0 for a zero ``m``.
 
     The one relative-residual test of the package.  ``residual_of`` must be
     real-linear in ``m`` (a commutator, ``m - m^T``, ``m - m^dagger``), so it
     may receive ``m`` scaled by :func:`_norm_in_range`.  Its other operands
-    must be in range too, as every caller scales them by the same rule.
+    must be in range too, as every caller scales them by the same rule.  A
+    caller that has measured ``m`` already passes ``m`` and ``norm`` as
+    :func:`_norm_in_range` returned them, and ``m`` is not measured again.
     """
-    m, norm, _ = _norm_in_range(m)
+    if norm is None:
+        m, norm, _ = _norm_in_range(m)
     if norm == 0.0:
         return 0.0
     return float(np.linalg.norm(residual_of(m))) / norm
@@ -139,9 +160,12 @@ def _require_nonsingular(matrix: np.ndarray, error: type[PHTError], name: str) -
 
     Singular means ``sigma_min / sigma_max <= WEIGHT_RCOND_LIMIT``, taken on the
     scaled operand, which leaves the ratio as it is and keeps ``sigma_max`` finite.
+    The operand is returned as :func:`_real_if_real` gives it to the SVD, so
+    callers read its realness from its dtype.
     """
     m, _, e = _norm_in_range(matrix)
-    sv = np.linalg.svd(_real_if_real(m), compute_uv=False)
+    m = _real_if_real(m)
+    sv = np.linalg.svd(m, compute_uv=False)
     if sv[-1] <= WEIGHT_RCOND_LIMIT * sv[0]:
         raise error(
             f"{name} is numerically singular: reciprocal condition number "
@@ -161,8 +185,13 @@ class SpectralData:
     eigenvectors : ndarray
         Right eigenvectors as columns, in the same order; each column has
         unit Euclidean norm.
-    eigvec_condition : float
-        Two-norm condition number of the eigenvector matrix.
+    eigenvectors_inv : ndarray or None
+        The inverse of ``eigenvectors``, computed once and used by every
+        later step that needs it: the dual basis of :func:`biorthonormalize`
+        and the coefficients of an evolution.  Real, and computed in real
+        arithmetic, when the eigenvectors are real (a real matrix with a real
+        spectrum), complex otherwise.  None when ``eigenvectors`` is exactly
+        singular, which only a ``NEAR_DEFECTIVE`` record can be.
     classification : SpectrumClass
         ``REAL_DIAGONALIZABLE``, ``CONJUGATE_PAIRS`` (complex eigenvalues
         present) or ``NEAR_DEFECTIVE``.
@@ -171,16 +200,58 @@ class SpectralData:
         ``w`` counts as real when ``|Im w| <= reality_rtol * (1 + |w|)``.
     matrix : ndarray
         A copy of the matrix as it was decomposed: real when no imaginary
-        part is nonzero, complex otherwise.  It and both arrays above are
-        read-only, so the record can stand in for its matrix.
+        part is nonzero, complex otherwise.  It and the three arrays above
+        are read-only, so the record can stand in for its matrix.
+    eigvec_condition : float
+        Two-norm condition number of the eigenvector matrix (a property): one
+        SVD, taken on the first read unless :func:`eigendecompose` needed it
+        to classify, and then cached.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    eigvec_condition: float
+    eigenvectors_inv: np.ndarray | None
     classification: SpectrumClass
     reality_rtol: float
     matrix: np.ndarray
+
+    @cached_property
+    def eigvec_condition(self) -> float:
+        """``cond_2`` of the eigenvectors, in real arithmetic when they are real."""
+        return float(np.linalg.cond(_real_if_real(self.eigenvectors)))
+
+
+# Relative margin per dimension by which _condition_bounds widens its bounds:
+# 64 eps EIGVEC_CONDITION_LIMIT.  Up to the limit, the computed inverse and the
+# SVD's condition number are each off by about d * eps * cond(V) relative,
+# times a small constant (Higham, 2002, ch. 14); d times this margin covers
+# both, and the rounding of the unit columns.
+_CONDITION_MARGIN = 64.0 * np.finfo(float).eps * EIGVEC_CONDITION_LIMIT
+
+
+def _condition_bounds(v_inv: np.ndarray) -> tuple[float, float]:
+    """``(lo, hi)`` around ``np.linalg.cond(v)`` for unit columns ``v``, from the computed ``v^-1``.
+
+    Wilkinson's ``kappa_i = ||v_i|| ||row_i(v^-1)||`` (Golub & Van Loan,
+    section 7.2) and Frobenius norms bracket the condition number:
+    ``max_i kappa_i <= cond_2(v) <= ||v||_F ||v^-1||_F``, where unit columns
+    make ``kappa_i = ||row_i(v^-1)||`` and ``||v||_F = sqrt(d)``.  Each bound is
+    widened by the relative margin ``m = d * _CONDITION_MARGIN`` for the
+    rounding of the inverse and of the SVD.  So ``lo <= np.linalg.cond(v) <=
+    hi`` wherever the condition number is at most ``EIGVEC_CONDITION_LIMIT``;
+    ``lo`` above the limit means the condition number is above it too, since
+    up to the limit ``lo`` stays below it; and ``hi`` at most the limit means
+    it is at most the limit, since then ``v v^-1`` is within ``m`` of the
+    identity.  The squares are summed by ``einsum``, which reports no
+    overflow; an infinite bound still compares right, and a NaN one compares
+    false.
+    """
+    d = v_inv.shape[0]
+    parts = np.ascontiguousarray(v_inv).view(float)
+    kappa2 = np.einsum("ij,ij->i", parts, parts)
+    lo = math.sqrt(kappa2.max()) / (1.0 + d * _CONDITION_MARGIN)
+    hi = math.sqrt(d * float(np.einsum("i->", kappa2))) * (1.0 + d * _CONDITION_MARGIN)
+    return lo, hi
 
 
 def eigendecompose(matrix, reality_rtol: float = REALITY_RTOL) -> SpectralData:
@@ -188,9 +259,12 @@ def eigendecompose(matrix, reality_rtol: float = REALITY_RTOL) -> SpectralData:
 
     An eigenvalue ``w`` counts as real when ``|Im w| <= rtol * (1 + |w|)``.
     The matrix is flagged near-defective when the eigenvector matrix has
-    condition number above ``EIGVEC_CONDITION_LIMIT``; that verdict takes
-    precedence over the reality classification.  ``reality_rtol`` must be
-    ``>= 0``; anything else raises ``ValueError``.
+    condition number above ``EIGVEC_CONDITION_LIMIT`` (or an infinite or NaN
+    one); that verdict takes precedence over the reality classification.
+    The eigenvectors are inverted once, and the inverse decides the verdict
+    wherever its bounds (:func:`_condition_bounds`) clear the limit, so an
+    SVD is taken only near the limit or for a singular eigenvector matrix.
+    ``reality_rtol`` must be ``>= 0``; anything else raises ``ValueError``.
     """
     if not reality_rtol >= 0:
         raise ValueError(f"reality_rtol must be >= 0, got {reality_rtol!r}")
@@ -198,17 +272,33 @@ def eigendecompose(matrix, reality_rtol: float = REALITY_RTOL) -> SpectralData:
     w, v = np.linalg.eig(m)
     order = np.lexsort((-w.imag, -w.real))
     w, v = w[order], v[:, order]
-    cond = float(np.linalg.cond(v))
+    try:
+        v_inv = np.linalg.inv(v)
+        lo, hi = _condition_bounds(v_inv)
+    except np.linalg.LinAlgError:
+        v_inv, lo, hi = None, math.nan, math.nan
+    # A bound that clears the limit gives the SVD's verdict; between the
+    # bounds, or for a singular v (NaN bounds), the SVD decides.
+    if lo > EIGVEC_CONDITION_LIMIT or hi <= EIGVEC_CONDITION_LIMIT:
+        near_defective, cond = lo > EIGVEC_CONDITION_LIMIT, None
+    else:
+        cond = float(np.linalg.cond(v))
+        near_defective = not cond <= EIGVEC_CONDITION_LIMIT
     w, v = w.astype(complex, copy=False), v.astype(complex, copy=False)
-    if not np.isfinite(cond) or cond > EIGVEC_CONDITION_LIMIT:
+    if near_defective:
         cls = SpectrumClass.NEAR_DEFECTIVE
     elif np.all(np.abs(w.imag) <= reality_rtol * (1.0 + np.abs(w))):
         cls = SpectrumClass.REAL_DIAGONALIZABLE
     else:
         cls = SpectrumClass.CONJUGATE_PAIRS
-    for array in (w, v, m):
-        array.flags.writeable = False
-    return SpectralData(w, v, cond, cls, reality_rtol, m)
+    for array in (w, v, v_inv, m):
+        if array is not None:
+            array.flags.writeable = False
+    record = SpectralData(w, v, v_inv, cls, reality_rtol, m)
+    if cond is not None:
+        # the SVD that classified is the condition number; a later read reuses it
+        object.__setattr__(record, "eigvec_condition", cond)
+    return record
 
 
 @dataclass(frozen=True)
@@ -234,7 +324,7 @@ class BiorthonormalSystem:
         return float(np.linalg.norm(d))
 
 
-def _degenerate_clusters(spectral: SpectralData) -> tuple[list[list[int]], float]:
+def _degenerate_clusters(spectral: SpectralData, measured=None) -> tuple[list[list[int]], float]:
     """``(clusters, ||H||_F / sep)`` of ``spectral``'s (sorted) real eigenvalues.
 
     Neighbours join a cluster when their gap is at most
@@ -243,8 +333,10 @@ def _degenerate_clusters(spectral: SpectralData) -> tuple[list[list[int]], float
     ``inf`` and merge every eigenvalue.  ``sep`` is the smallest gap between
     neighbouring clusters, taken on the same scaled values, so the ratio does
     not change with the scale of ``H``; it is 0 for a single cluster.
+    ``measured`` is ``_norm_in_range(spectral.matrix)`` when the caller has
+    taken it already.
     """
-    _, scale, e = _norm_in_range(spectral.matrix)
+    _, scale, e = _norm_in_range(spectral.matrix) if measured is None else measured
     steps = np.abs(np.diff(np.ldexp(spectral.eigenvalues.real, -e)))
     split = steps > DEGENERATE_GAP_RTOL * scale
     bounds = [0, *(np.flatnonzero(split) + 1).tolist(), len(steps) + 1]
@@ -265,8 +357,9 @@ def biorthonormalize(matrix, *, normalization: str = "unit") -> BiorthonormalSys
     normalization : {"unit", "transpose"}
         ``"unit"`` keeps each ``psi_n`` at unit Euclidean norm with its
         largest-modulus entry rotated to the positive real axis, and takes
-        the ``phi_n`` from the inverse eigenvector matrix (so duality is
-        exact by construction).  ``"transpose"`` applies only to complex
+        the ``phi_n`` from the record's inverse eigenvector matrix, rotated
+        and (inside a degenerate cluster) recombined as the ``psi_n`` are,
+        so duality holds to the rounding of that inverse.  ``"transpose"`` applies only to complex
         symmetric input with nondegenerate spectrum: eigenvectors are scaled
         so that ``psi_n^T psi_n = s_n`` with signs ``s_n = +,-,+,-...`` in
         descending-eigenvalue order, and ``phi_n = s_n * conj(psi_n)``.  The
@@ -310,18 +403,23 @@ def biorthonormalize(matrix, *, normalization: str = "unit") -> BiorthonormalSys
     clusters, _ = _degenerate_clusters(spectral)
 
     if normalization == "unit":
+        # The dual basis is the record's V^-1, changed as V is: no inverse here.
+        dual = spectral.eigenvectors_inv.astype(complex)
         for cluster in clusters:
             if len(cluster) > 1:
-                # Orthonormalize inside a degenerate cluster so the inverse
-                # below stays well conditioned whatever basis eig picked.
-                q, _ = np.linalg.qr(v[:, cluster])
+                # Orthonormalize inside a degenerate cluster, whatever basis
+                # eig picked: V_c = Q R, so Q's dual rows are R V^-1[c, :].
+                q, r = np.linalg.qr(v[:, cluster])
                 v[:, cluster] = q
-        # conj(p) / |p| is exactly +-1 for a real pivot, so the eigenvectors
-        # of a real matrix stay real and the inverse takes the real routine.
+                dual[cluster] = r @ dual[cluster]
+        # Rotate each pivot onto the positive real axis: V D has dual rows
+        # D^-1 V^-1.  conj(p) / |p| is exactly +-1 for a real pivot, so the
+        # eigenvectors of a real matrix and their duals stay real.
         pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-        v *= np.conj(pivots) / np.abs(pivots)
-        phi = np.linalg.inv(_real_if_real(v)).astype(complex, copy=False).conj().T
-        return BiorthonormalSystem(w, v, phi)
+        phases = np.conj(pivots) / np.abs(pivots)
+        v *= phases
+        dual /= phases[:, None]
+        return BiorthonormalSystem(w, v, dual.conj().T)
 
     if any(len(c) > 1 for c in clusters):
         raise ValueError("transpose normalization requires a nondegenerate spectrum")

@@ -33,6 +33,7 @@ from .linalg import (
     WEIGHT_RCOND_LIMIT,
     BiorthonormalSystem,
     _norm_in_range,
+    _real_if_all_real,
     _real_if_real,
     _relative_residual,
     _require_nonsingular,
@@ -80,7 +81,8 @@ def build_eta_plus(system: BiorthonormalSystem) -> MetricOperator:
 
     The sum is Hermitian positive definite whenever the ``phi_n`` span, which
     a valid biorthonormal system guarantees; the square root and its inverse
-    come from one spectral decomposition.
+    come from one spectral decomposition.  For real-valued ``phi_n`` every
+    step runs in real arithmetic, and the three operators are cast back.
 
     Raises
     ------
@@ -88,11 +90,10 @@ def build_eta_plus(system: BiorthonormalSystem) -> MetricOperator:
         If roundoff (or an invalid input system) leaves ``eta_plus`` with a
         non-positive eigenvalue.
     """
-    phi = system.phi
+    phi = _real_if_real(system.phi)
     eta = phi @ phi.conj().T
     eta = 0.5 * (eta + eta.conj().T)
-    w, v = np.linalg.eigh(_real_if_real(eta))
-    v = v.astype(complex, copy=False)
+    w, v = np.linalg.eigh(eta)
     floor = WEIGHT_RCOND_LIMIT * max(abs(w[-1]), 1e-300)
     if w[0] <= floor:
         raise NotPositiveDefiniteError(
@@ -102,7 +103,7 @@ def build_eta_plus(system: BiorthonormalSystem) -> MetricOperator:
     roots = np.sqrt(w)
     rho = (v * roots) @ v.conj().T
     rho_inv = (v * (1.0 / roots)) @ v.conj().T
-    return MetricOperator(eta, rho, rho_inv)
+    return MetricOperator(*(a.astype(complex, copy=False) for a in (eta, rho, rho_inv)))
 
 
 def _positive_metric(build_system, *args) -> MetricOperator:
@@ -128,7 +129,8 @@ def build_generalized_parity(system: BiorthonormalSystem) -> np.ndarray:
     eigenvalue for systems produced by :func:`biorthonormalize`.
     """
     signs = _alternating_signs(system.dim)
-    return (system.phi * signs) @ system.phi.conj().T
+    phi = _real_if_real(system.phi)
+    return ((phi * signs) @ phi.conj().T).astype(complex, copy=False)
 
 
 def build_charge_conjugation(system: BiorthonormalSystem) -> np.ndarray:
@@ -138,7 +140,8 @@ def build_charge_conjugation(system: BiorthonormalSystem) -> np.ndarray:
     built from; equals ``eta_plus^{-1} P`` for the matching parity.
     """
     signs = _alternating_signs(system.dim)
-    return (system.psi * signs) @ system.phi.conj().T
+    phi, psi = _real_if_all_real(system.phi, system.psi)
+    return ((psi * signs) @ phi.conj().T).astype(complex, copy=False)
 
 
 def verify_pseudo_hermiticity(hamiltonian, weight) -> float:
@@ -160,7 +163,8 @@ def verify_pseudo_hermiticity(hamiltonian, weight) -> float:
     if h.shape != w.shape:
         raise DimensionMismatchError(f"operator shapes differ: {h.shape} vs {w.shape}")
     w, _ = _require_nonsingular(w, SingularWeightError, "weight operator")
-    w_inv = np.linalg.inv(_real_if_real(w)).astype(complex, copy=False)
+    w_inv = np.linalg.inv(w)
+    h = h if np.iscomplexobj(w) else _real_if_real(h)
     return _relative_residual(h, lambda m: m.conj().T - w @ m @ w_inv)
 
 
@@ -206,16 +210,20 @@ def map_observable(observable, metric: MetricOperator, direction: str = "to_tild
 
     ``"to_tilde"`` sends a Hermitian observable ``O`` to its metric-picture
     image ``rho_plus^{-1} O rho_plus`` (self-adjoint in the ``eta_plus``
-    inner product); ``"from_tilde"`` inverts the map.
+    inner product); ``"from_tilde"`` inverts the map.  The two products run
+    in real arithmetic when all three factors are real-valued.
     """
     o = as_square_matrix(observable)
     if o.shape[0] != metric.dim:
         raise DimensionMismatchError(f"observable dim {o.shape[0]} != metric dim {metric.dim}")
     if direction == "to_tilde":
-        return metric.rho_plus_inv @ o @ metric.rho_plus
-    if direction == "from_tilde":
-        return metric.rho_plus @ o @ metric.rho_plus_inv
-    raise ValueError(f"unknown direction {direction!r}")
+        left, right = metric.rho_plus_inv, metric.rho_plus
+    elif direction == "from_tilde":
+        left, right = metric.rho_plus, metric.rho_plus_inv
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    o, left, right = _real_if_all_real(o, left, right)
+    return (left @ o @ right).astype(complex, copy=False)
 
 
 @dataclass(frozen=True)

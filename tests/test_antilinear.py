@@ -287,6 +287,23 @@ def test_check_exactness_refuses_a_pt_that_is_not_an_involution():
     assert np.abs(parity @ np.conj(fixed) - fixed).max() <= 1e-12
 
 
+@pytest.mark.parametrize("case", ["real", "general-t", "cluster"])
+def test_check_exactness_takes_no_condition_number_svd_within_its_budget(monkeypatch, case):
+    # the defect is within the budget at cond(V) = 1, its least value, so the
+    # record's condition number (an SVD) is never read
+    h, parity, tau = _handle_case(case)
+    spectral = eigendecompose(h)
+    reads = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda *a, **k: reads.append(1) or cond(*a, **k))
+    assert check_exactness(spectral, parity, AntilinearOperator(tau)).exact
+    assert reads == []
+    # a refusal reads it once, for the budget its message states
+    with pytest.raises(NotPTSymmetricError, match="exceeds its budget"):
+        check_exactness(spectral, parity, AntilinearOperator(2.0 * tau))
+    assert reads == [1]
+
+
 def _handle_case(case):
     """``(H, P, tau)`` for the record-versus-matrix comparison below."""
     rng = np.random.default_rng(61)
@@ -345,3 +362,56 @@ def test_check_exactness_decides_against_the_tolerance_of_the_record():
     report = check_exactness(eigendecompose(h, reality_rtol=1e-6), np.eye(2), conj)
     assert report.exact
     assert np.array_equal(report.fixed_eigenvectors, [[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("d", [2, 7, 32])
+def test_real_pt_gate_matches_complex_arithmetic(d):
+    # With H, P and tau real-valued the products run in real arithmetic.  Two
+    # roundings of a d x d product A B differ by at most 2 d eps ||A||_F ||B||_F.
+    eps = np.finfo(float).eps
+    flip = np.eye(d)[::-1]
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        # the commutator, against the same products of the complex-typed operands
+        a = rng.normal(size=(d, d))
+        h = a + flip @ a @ flip + 1e-9 * rng.normal(size=(d, d))
+        tau = rng.uniform(0.5, 2.0) * np.eye(d)
+        lin, hc = flip.astype(complex) @ tau.astype(complex), h.astype(complex)
+        reference = np.linalg.norm(hc @ lin - lin @ np.conj(hc)) / np.linalg.norm(h)
+        got = check_pt_symmetry(h, flip, AntilinearOperator(tau))
+        assert abs(got - reference) <= 6 * d * eps * np.linalg.norm(lin)
+
+        # the fixed eigenvectors under P = 1, T = K, against T = e^{i theta} K,
+        # whose complex tau sends every product to complex arithmetic: its
+        # fixed points are e^{i theta / 2} f, up to sign, so their moduli agree
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        s = q @ np.diag(np.exp(rng.uniform(-0.5, 0.5, d)))
+        h = s @ np.diag(rng.uniform(-3.0, 3.0, d)) @ np.linalg.inv(s)
+        spectral = eigendecompose(h)
+        report = check_exactness(spectral, np.eye(d), AntilinearOperator(np.eye(d)))
+        rotated = check_exactness(spectral, np.eye(d), AntilinearOperator(np.exp(0.7j) * np.eye(d)))
+        assert report.exact and rotated.exact
+        fixed = report.fixed_eigenvectors
+        assert fixed.dtype == complex
+        npt.assert_allclose(np.abs(fixed), np.abs(rotated.fixed_eigenvectors), rtol=0, atol=8 * d * eps)
+        npt.assert_allclose(np.conj(fixed), fixed, rtol=0, atol=8 * d * eps)
+
+
+def test_check_exactness_measures_h_once(monkeypatch):
+    # one scaling measurement of H serves the PT gate and the clusters
+    from pht import antilinear, linalg
+
+    h = np.diag([2.0, 1.0, 1.0, -1.0])
+    spectral = eigendecompose(h)
+    measured = []
+    norm_in_range = linalg._norm_in_range
+
+    def counting(m):
+        measured.append(m is spectral.matrix)
+        return norm_in_range(m)
+
+    monkeypatch.setattr(antilinear, "_norm_in_range", counting)
+    monkeypatch.setattr(linalg, "_norm_in_range", counting)
+    assert check_exactness(spectral, np.eye(4), AntilinearOperator(np.eye(4))).exact
+    # H once, then P in the singularity gate and tau
+    assert measured == [True, False, False]

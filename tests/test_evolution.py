@@ -166,15 +166,17 @@ def test_one_spec_decomposes_h_once(eig_calls):
     assert len(eig_calls) == 1 + len(SPEC_CALLS)
 
 
-def test_one_spec_solves_for_its_coefficients_once(monkeypatch):
+def test_one_spec_takes_its_coefficients_from_the_decomposition_without_a_solve(monkeypatch):
     calls = []
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(args) or solve(*args))
+    for name in ("solve", "inv"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
     h = symmetric_hamiltonian(FAMILY_POINT)
     spec = EvolutionSpec(h, np.array([0.3 + 0.1j, -0.8]), t0=0.0, t1=4.0, steps=40)
     for call in SPEC_CALLS:
         call(spec)
-    assert len(calls) == 1
+    # the one inverse is the decomposition's, which c = V^-1 psi0 reuses
+    assert calls == ["inv"]
 
 
 def test_refused_metric_still_shares_the_decomposition(eig_calls):

@@ -13,6 +13,7 @@ from pht.errors import (
     PHTError,
 )
 from pht.linalg import (
+    EIGVEC_CONDITION_LIMIT,
     IDENTITY2,
     PAULI,
     REALITY_RTOL,
@@ -20,8 +21,10 @@ from pht.linalg import (
     SIGMA2,
     SIGMA3,
     SpectrumClass,
+    _condition_bounds,
     _degenerate_clusters,
     _pauli_exp,
+    _real_if_real,
     as_square_matrix,
     as_state_vector,
     biorthonormalize,
@@ -193,6 +196,105 @@ def test_exact_cluster_with_an_ill_conditioned_raw_basis():
         assert residual <= 4 * d * eps * spectral.eigvec_condition
         ratios.append(spectral.eigvec_condition / np.linalg.cond(s))
     assert max(ratios) > 2.0
+
+
+def _conditioned_matrix(seed: int, d: int, log_cond: float, kind: str) -> np.ndarray:
+    """A matrix whose eigenvector condition is near ``10**log_cond``, of one of four kinds.
+
+    ``band``: distinct real eigenvalues, ``S`` real with singular values
+    spread geometrically to ``10**log_cond``.  ``pairs``: the same ``S`` with
+    conjugate pairs.  ``cluster``: an exactly repeated eigenvalue with a
+    complex ``S``, as in the test above.  ``singular``: a scaled shift,
+    optionally on the diagonal ``a 1``, whose ``eig`` basis is singular or
+    nearly so.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "singular":
+        return rng.uniform(0.5, 2.0) * np.eye(d, k=1) + (rng.uniform(-1.0, 1.0) if seed % 2 else 0.0) * np.eye(d)
+    complex_basis = kind == "cluster"
+    q1, _ = np.linalg.qr(rng.normal(size=(d, d)) + complex_basis * 1j * rng.normal(size=(d, d)))
+    q2, _ = np.linalg.qr(rng.normal(size=(d, d)) + complex_basis * 1j * rng.normal(size=(d, d)))
+    s = q1 @ np.diag(np.logspace(0.0, log_cond, d)) @ q2
+    if kind == "pairs":
+        core = np.zeros((d, d))
+        for k in range(0, d - 1, 2):
+            a, b = rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.0)
+            core[k:k + 2, k:k + 2] = [[a, b], [-b, a]]
+        if d % 2:
+            core[-1, -1] = rng.uniform(-2.0, 2.0)
+    else:
+        w = rng.uniform(-3.0, 3.0, d)
+        if kind == "cluster":
+            w[: max(2, d // 2)] = 1.0
+        core = np.diag(w)
+    return s @ core @ np.linalg.inv(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 12),
+    st.floats(0.0, 11.0),
+    st.sampled_from(["band", "pairs", "cluster", "singular"]),
+)
+@example(0, 4, 8.0, "band")
+@example(1, 3, 0.0, "singular")
+@example(2, 5, 0.0, "singular")
+@example(3, 6, 1.0, "cluster")
+def test_near_defective_verdict_is_the_condition_number_against_the_limit(seed, d, log_cond, kind):
+    spectral = eigendecompose(_conditioned_matrix(seed, d, log_cond, kind))
+    v, v_inv = spectral.eigenvectors, spectral.eigenvectors_inv
+    cond = float(np.linalg.cond(_real_if_real(v)))
+    assert spectral.eigvec_condition == cond or (np.isnan(cond) and np.isnan(spectral.eigvec_condition))
+    near_defective = spectral.classification is SpectrumClass.NEAR_DEFECTIVE
+    assert near_defective == (not cond <= EIGVEC_CONDITION_LIMIT)
+    if v_inv is None:
+        assert near_defective
+        return
+    # the widened bounds that decide the verdict without an SVD
+    lo, hi = _condition_bounds(v_inv)
+    if cond <= EIGVEC_CONDITION_LIMIT:
+        assert lo <= cond <= hi
+    assert not lo > EIGVEC_CONDITION_LIMIT or near_defective
+    assert not hi <= EIGVEC_CONDITION_LIMIT or not near_defective
+    # max kappa_i <= cond_2(V) <= ||V||_F ||V^-1||_F, to the rounding of the
+    # inverse and of the SVD, each about d eps cond(V) relative; beyond
+    # cond(V) ~ 1 / (d eps) the computed inverse has no digit to bound
+    rounding = 64 * d * np.finfo(float).eps * cond
+    if rounding < 1.0:
+        kappa = np.linalg.norm(v, axis=0) * np.linalg.norm(v_inv, axis=1)
+        assert kappa.max() <= cond * (1.0 + rounding)
+        assert cond <= np.linalg.norm(v) * np.linalg.norm(v_inv) * (1.0 + rounding)
+
+
+@pytest.mark.parametrize("h", [np.eye(4, k=1), 2.0 * np.eye(5, k=-1), (1.0 + 1.0j) * np.eye(3, k=1)],
+                         ids=["shift-4", "shift-5", "complex-shift-3"])
+def test_a_singular_eigenvector_matrix_is_near_defective_with_an_infinite_condition(h):
+    spectral = eigendecompose(h)
+    assert spectral.eigenvectors_inv is None
+    assert spectral.classification is SpectrumClass.NEAR_DEFECTIVE
+    assert spectral.eigvec_condition == np.inf
+    with pytest.raises(NotDiagonalizableError, match="eigenvector condition number inf exceeds"):
+        biorthonormalize(spectral)
+
+
+def test_a_well_conditioned_decomposition_takes_no_svd_and_its_dual_basis_no_inverse(monkeypatch):
+    rng = np.random.default_rng(5)
+    matrices = random_similarity(rng, 6)[0], _real_similarity(rng, [np.diag([2.0, 2.0, 1.0, -1.0])])
+    calls = []
+    for name in ("svd", "cond", "inv", "solve"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
+    for h in matrices:
+        spectral = eigendecompose(h)
+        assert calls == ["inv"]
+        system = biorthonormalize(spectral)
+        assert calls == ["inv"]
+        npt.assert_allclose(system.phi.conj().T @ system.psi, np.eye(len(h)), atol=DUALITY_ATOL)
+        # the condition number is one SVD on first read, and is kept
+        assert spectral.eigvec_condition == spectral.eigvec_condition
+        assert calls == ["inv", "cond"]
+        calls.clear()
 
 
 @pytest.mark.parametrize(

@@ -315,3 +315,46 @@ def test_build_eta_plus_rejects_invalid_system():
     )
     with pytest.raises(NotPositiveDefiniteError, match=r"0\.000e\+00 is not above 2\.000e-13"):
         build_eta_plus(bad)
+
+
+def _real_quasi_hermitian(rng, d):
+    """``S diag(w) S^-1`` with a real ``S`` (cond below ~3) and distinct real ``w``."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    s = q @ np.diag(np.exp(rng.uniform(-0.5, 0.5, d)))
+    return s @ np.diag(rng.uniform(-3.0, 3.0, d)) @ np.linalg.inv(s)
+
+
+@pytest.mark.parametrize("d", [2, 7, 32])
+def test_real_operators_take_real_products_that_match_complex_arithmetic(d):
+    # Each product of real-valued operands runs in real arithmetic and is cast
+    # back.  The reference forms the same product of the complex-typed
+    # operands, which numpy always hands to the complex routine.  Two ways of
+    # rounding a d x d product A B differ by at most 2 d eps |A| |B|, so in
+    # Frobenius norms by 2 d eps ||A||_F ||B||_F, and a product of three
+    # factors by twice that.
+    eps = np.finfo(float).eps
+    signs = np.resize([1.0, -1.0], d)
+    for seed in range(10):
+        h = _real_quasi_hermitian(np.random.default_rng(seed), d)
+        system = biorthonormalize(h)
+        psi, phi = system.psi, system.phi
+        metric = build_eta_plus(system)
+        rho, rho_inv = metric.rho_plus, metric.rho_plus_inv
+        # rho_plus from the real eigenvectors of eta_plus, combined in complex arithmetic
+        w, v = np.linalg.eigh(metric.eta_plus.real)
+        v = v.astype(complex)
+        hc = h.astype(complex)
+        cases = {
+            "eta": (metric.eta_plus, phi @ phi.conj().T, [phi, phi]),
+            "rho": (rho, (v * np.sqrt(w)) @ v.conj().T, [v * np.sqrt(w), v]),
+            "parity": (build_generalized_parity(system), (phi * signs) @ phi.conj().T, [phi, phi]),
+            "charge": (build_charge_conjugation(system), (psi * signs) @ phi.conj().T, [psi, phi]),
+            "partner": (hermitize(h, metric), rho @ hc @ rho_inv, [rho, h, rho_inv]),
+            "to_tilde": (map_observable(h, metric), rho_inv @ hc @ rho, [rho_inv, h, rho]),
+        }
+        for name, (value, reference, factors) in cases.items():
+            assert value.dtype == complex, name
+            # a real product cast back has no negative-zero imaginary part
+            assert not value.imag.any() and not np.signbit(value.imag).any(), name
+            bound = 2 * (len(factors) - 1) * d * eps * np.prod([np.linalg.norm(f) for f in factors])
+            assert np.linalg.norm(value - reference) <= bound, (name, seed)
