@@ -8,6 +8,7 @@ Kramers-degenerate case is kept out of scope.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +113,7 @@ class TimeReversalParams:
 def _axis_matrix(zeta: float) -> np.ndarray:
     # Unit combination in the sigma_1 / sigma_3 plane; sigma_2 is excluded
     # on purpose (it would break tau^T = tau).
-    return np.cos(zeta) * SIGMA1 + np.sin(zeta) * SIGMA3
+    return math.cos(zeta) * SIGMA1 + math.sin(zeta) * SIGMA3
 
 
 def make_time_reversal(params: TimeReversalParams) -> AntilinearOperator:
@@ -178,9 +179,10 @@ def _pt_residual(measured, parity, time_reversal: AntilinearOperator) -> tuple[f
     lin = p @ tau
     residual = _relative_residual(h, lambda m: m @ lin - lin @ np.conj(m), norm)
     e = e_p + e_tau
+    if not e:
+        return residual, lin
     with np.errstate(over="ignore"):
-        residual = float(np.ldexp(residual, e))
-        return residual, np.ldexp(lin.view(float), e).view(lin.dtype) if e else lin
+        return float(np.ldexp(residual, e)), np.ldexp(lin.view(float), e).view(lin.dtype)
 
 
 @dataclass(frozen=True)

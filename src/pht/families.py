@@ -19,6 +19,7 @@ for a generalized time reversal.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +97,7 @@ class TwoLevelOperators:
 
 def symmetric_hamiltonian(p: SymmetricFamilyParams) -> np.ndarray:
     """Matrix of the complex symmetric family (any parameters, broken included)."""
-    c, s_ = np.cos(p.phi), np.sin(p.phi)
+    c, s_ = math.cos(p.phi), math.sin(p.phi)
     return np.array(
         [
             [p.r + p.t * c - 1j * p.s * s_, 1j * p.s * c + p.t * s_],
@@ -112,12 +113,12 @@ def _family_amplitudes(alpha: float) -> tuple[float, float, float, float]:
     and ``b_n = (-1 + n cos(alpha)) / sqrt(...)``, which stays finite at
     ``alpha = 0`` where the printed quotients degenerate to 0/0.
     """
-    root = np.sqrt(np.cos(alpha))
+    root = math.sqrt(math.cos(alpha))
     sgn = 1.0 if alpha >= 0.0 else -1.0
-    a_plus = sgn * np.cos(alpha / 2.0) / root
-    b_plus = -sgn * np.sin(alpha / 2.0) / root
-    a_minus = np.sin(alpha / 2.0) / root
-    b_minus = -np.cos(alpha / 2.0) / root
+    a_plus = sgn * math.cos(alpha / 2.0) / root
+    b_plus = -sgn * math.sin(alpha / 2.0) / root
+    a_minus = math.sin(alpha / 2.0) / root
+    b_minus = -math.cos(alpha / 2.0) / root
     return a_plus, b_plus, a_minus, b_minus
 
 
@@ -137,12 +138,12 @@ def symmetric_eigensystem(p: SymmetricFamilyParams) -> BiorthonormalSystem:
     alpha = p.alpha
     a_p, b_p, a_m, b_m = _family_amplitudes(alpha)
     half = p.phi / 2.0
-    c, s_ = np.cos(half), np.sin(half)
+    c, s_ = math.cos(half), math.sin(half)
     psi_plus = np.array([a_p * c + 1j * b_p * s_, a_p * s_ - 1j * b_p * c])
     psi_minus = np.array([a_m * c + 1j * b_m * s_, a_m * s_ - 1j * b_m * c])
     psi = np.column_stack([psi_plus, psi_minus])
     phi = np.column_stack([np.conj(psi_plus), -np.conj(psi_minus)])
-    shift = p.t * np.cos(alpha)
+    shift = p.t * math.cos(alpha)
     eigenvalues = np.array([p.r + shift, p.r - shift])
     return BiorthonormalSystem(eigenvalues, psi, phi)
 
@@ -153,7 +154,7 @@ def parity_from_angle(phi: float) -> np.ndarray:
     Equal to ``exp(-i phi sigma_2 / 2) sigma_3 exp(i phi sigma_2 / 2)``:
     an involution with eigenvalues +1 and -1 for every angle.
     """
-    return np.array([[np.cos(phi), np.sin(phi)], [np.sin(phi), -np.cos(phi)]], dtype=complex)
+    return np.array([[math.cos(phi), math.sin(phi)], [math.sin(phi), -math.cos(phi)]], dtype=complex)
 
 
 def symmetric_operators(p: SymmetricFamilyParams) -> TwoLevelOperators:
@@ -176,9 +177,9 @@ def symmetric_operators(p: SymmetricFamilyParams) -> TwoLevelOperators:
         Outside the exact regime.
     """
     alpha = p.alpha
-    sec = 1.0 / np.cos(alpha)
+    sec = 1.0 / math.cos(alpha)
     tan = np.tan(alpha)
-    c, s_ = np.cos(p.phi), np.sin(p.phi)
+    c, s_ = math.cos(p.phi), math.sin(p.phi)
     eta = np.array([[sec, 1j * tan], [-1j * tan, sec]])
     parity = parity_from_angle(p.phi)
     charge = np.array(
@@ -187,11 +188,11 @@ def symmetric_operators(p: SymmetricFamilyParams) -> TwoLevelOperators:
             [sec * s_ + 1j * tan * c, -sec * c + 1j * tan * s_],
         ]
     )
-    lo = np.sqrt(sec - tan)
-    hi = np.sqrt(sec + tan)
+    lo = math.sqrt(sec - tan)
+    hi = math.sqrt(sec + tan)
     r_plus, r_minus = 0.5 * (lo + hi), 0.5 * (lo - hi)
     rho = np.array([[r_plus, -1j * r_minus], [1j * r_minus, r_plus]])
-    h = p.r * IDENTITY2 + (p.t * np.cos(alpha)) * parity
+    h = p.r * IDENTITY2 + (p.t * math.cos(alpha)) * parity
     return TwoLevelOperators(eta, parity, charge, rho, h)
 
 
@@ -220,7 +221,7 @@ def general_hamiltonian(p: GeneralFamilyParams) -> np.ndarray:
     Equal to ``exp(-i phi sigma_2 / 2) (r 1 + i s sigma_1 + u sigma_2 + t sigma_3)
     exp(+i phi sigma_2 / 2)``; eigenvalues ``r +/- sqrt(t^2 + u^2 - s^2)``.
     """
-    c, s_ = np.cos(p.phi), np.sin(p.phi)
+    c, s_ = math.cos(p.phi), math.sin(p.phi)
     return np.array(
         [
             [p.r + p.t * c - 1j * p.s * s_, p.t * s_ + 1j * (p.s * c - p.u)],

@@ -65,6 +65,11 @@ class SpectrumClass(str, Enum):
     NEAR_DEFECTIVE = "near-defective"
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()``, with the count taken in C (``ndarray.all`` has a Python wrapper)."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 def as_square_matrix(matrix) -> np.ndarray:
     """Validate and convert input to a square complex array.
 
@@ -78,7 +83,7 @@ def as_square_matrix(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    if not _all_finite(m):
         raise NonFiniteError("matrix contains non-finite entries")
     return m
 
@@ -88,7 +93,7 @@ def as_state_vector(state) -> np.ndarray:
     v = np.asarray(state, dtype=complex)
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
+    if not _all_finite(v):
         raise NonFiniteError("state vector contains non-finite entries")
     return v
 
@@ -104,14 +109,30 @@ def _real_if_all_real(*ms: np.ndarray) -> tuple[np.ndarray, ...]:
     part, so no operand is read twice and a complex one spares the rest.
     Callers cast the results back with ``astype(complex, copy=False)``.
     """
-    if any(np.iscomplexobj(m) and m.imag.any() for m in ms):
-        return ms
-    return tuple(np.ascontiguousarray(m.real) if np.iscomplexobj(m) else m for m in ms)
+    for m in ms:
+        if m.dtype.kind == "c" and m.imag.any():
+            return ms
+    return tuple(np.ascontiguousarray(m.real) if m.dtype.kind == "c" else m for m in ms)
 
 
 def _real_if_real(m: np.ndarray) -> np.ndarray:
     """:func:`_real_if_all_real` of one operand."""
     return _real_if_all_real(m)[0]
+
+
+def _frobenius_norm(m: np.ndarray) -> float:
+    """``float(np.linalg.norm(m))``, bit for bit, without a warning when it overflows to ``inf``.
+
+    The same dot products of the real parts, summed in the same order, and
+    the same root.  ``np.vdot`` of real vectors is that dot product, and
+    unlike ``ndarray.dot`` it does not report overflow, nor does the sum of
+    two Python floats, so callers need no ``np.errstate``.
+    """
+    x = m.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(float(np.vdot(re, re)) + float(np.vdot(im, im)))
+    return math.sqrt(float(np.vdot(x, x)))
 
 
 def _norm_in_range(m: np.ndarray) -> tuple[np.ndarray, float, int]:
@@ -125,8 +146,7 @@ def _norm_in_range(m: np.ndarray) -> tuple[np.ndarray, float, int]:
     operand in range is returned as it is, not copied.  A zero ``m`` gives
     ``(m, 0.0, 0)``.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = float(np.linalg.norm(m))
+    norm = _frobenius_norm(m)
     if _PLAIN_NORM_RANGE[0] < norm < _PLAIN_NORM_RANGE[1]:
         return m, norm, 0
     parts = np.ascontiguousarray(m).view(float) if np.iscomplexobj(m) else m
@@ -135,7 +155,7 @@ def _norm_in_range(m: np.ndarray) -> tuple[np.ndarray, float, int]:
         return m, 0.0, 0
     e = math.frexp(peak)[1]
     scaled = np.ldexp(parts, -e).view(m.dtype)
-    return scaled, float(np.linalg.norm(scaled)), e
+    return scaled, _frobenius_norm(scaled), e
 
 
 def _relative_residual(m: np.ndarray, residual_of, norm: float | None = None) -> float:
@@ -152,7 +172,7 @@ def _relative_residual(m: np.ndarray, residual_of, norm: float | None = None) ->
         m, norm, _ = _norm_in_range(m)
     if norm == 0.0:
         return 0.0
-    return float(np.linalg.norm(residual_of(m))) / norm
+    return _frobenius_norm(residual_of(m)) / norm
 
 
 def _require_nonsingular(matrix: np.ndarray, error: type[PHTError], name: str) -> tuple[np.ndarray, int]:
@@ -242,16 +262,16 @@ def _condition_bounds(v_inv: np.ndarray) -> tuple[float, float]:
     ``lo`` above the limit means the condition number is above it too, since
     up to the limit ``lo`` stays below it; and ``hi`` at most the limit means
     it is at most the limit, since then ``v v^-1`` is within ``m`` of the
-    identity.  The squares are summed by ``einsum``, which reports no
-    overflow; an infinite bound still compares right, and a NaN one compares
+    identity.  The row sums come from ``einsum`` and their total from a
+    Python ``sum``, neither of which reports overflow, and ``max`` keeps a
+    NaN; an infinite bound still compares right, and a NaN one compares
     false.
     """
     d = v_inv.shape[0]
-    parts = np.ascontiguousarray(v_inv).view(float)
+    parts = v_inv.view(float)
     kappa2 = np.einsum("ij,ij->i", parts, parts)
-    lo = math.sqrt(kappa2.max()) / (1.0 + d * _CONDITION_MARGIN)
-    hi = math.sqrt(d * float(np.einsum("i->", kappa2))) * (1.0 + d * _CONDITION_MARGIN)
-    return lo, hi
+    margin = 1.0 + d * _CONDITION_MARGIN
+    return math.sqrt(kappa2.max()) / margin, math.sqrt(d * sum(kappa2.tolist())) * margin
 
 
 def eigendecompose(matrix, reality_rtol: float = REALITY_RTOL) -> SpectralData:
@@ -265,12 +285,23 @@ def eigendecompose(matrix, reality_rtol: float = REALITY_RTOL) -> SpectralData:
     wherever its bounds (:func:`_condition_bounds`) clear the limit, so an
     SVD is taken only near the limit or for a singular eigenvector matrix.
     ``reality_rtol`` must be ``>= 0``; anything else raises ``ValueError``.
+
+    A real-valued matrix is copied once, as the real copy that is decomposed
+    and kept; a complex one is copied as it is.  ``eig`` of a real matrix
+    returns a real ``w`` only when every ``Im w`` is exactly 0: such a
+    spectrum is sorted by one stable ``argsort``, and it passes the reality
+    test unless its bound ``rtol (1 + |w|)`` is NaN (a NaN eigenvalue, or an
+    infinite one under ``rtol = 0``), which one maximum decides.
     """
     if not reality_rtol >= 0:
         raise ValueError(f"reality_rtol must be >= 0, got {reality_rtol!r}")
-    m = _real_if_real(as_square_matrix(matrix)).copy()
+    m = _real_if_real(as_square_matrix(matrix))
+    if m.dtype.kind == "c":
+        # a real-valued matrix is already the fresh copy of its real part
+        m = m.copy()
     w, v = np.linalg.eig(m)
-    order = np.lexsort((-w.imag, -w.real))
+    real_spectrum = w.dtype.kind == "f"
+    order = np.argsort(-w, kind="stable") if real_spectrum else np.lexsort((-w.imag, -w.real))
     w, v = w[order], v[:, order]
     try:
         v_inv = np.linalg.inv(v)
@@ -284,16 +315,20 @@ def eigendecompose(matrix, reality_rtol: float = REALITY_RTOL) -> SpectralData:
     else:
         cond = float(np.linalg.cond(v))
         near_defective = not cond <= EIGVEC_CONDITION_LIMIT
-    w, v = w.astype(complex, copy=False), v.astype(complex, copy=False)
     if near_defective:
         cls = SpectrumClass.NEAR_DEFECTIVE
-    elif np.all(np.abs(w.imag) <= reality_rtol * (1.0 + np.abs(w))):
+    elif (
+        reality_rtol * (1.0 + np.abs(w).max()) >= 0.0
+        if real_spectrum
+        else np.count_nonzero(np.abs(w.imag) <= reality_rtol * (1.0 + np.abs(w))) == w.size
+    ):
         cls = SpectrumClass.REAL_DIAGONALIZABLE
     else:
         cls = SpectrumClass.CONJUGATE_PAIRS
+    w, v = w.astype(complex, copy=False), v.astype(complex, copy=False)
     for array in (w, v, v_inv, m):
         if array is not None:
-            array.flags.writeable = False
+            array.setflags(write=False)
     record = SpectralData(w, v, v_inv, cls, reality_rtol, m)
     if cond is not None:
         # the SVD that classified is the condition number; a later read reuses it
@@ -324,6 +359,13 @@ class BiorthonormalSystem:
         return float(np.linalg.norm(d))
 
 
+def _alternating_signs(n: int) -> np.ndarray:
+    """``+1, -1, +1, ...``, ``n`` of them."""
+    signs = np.ones(n)
+    signs[1::2] = -1.0
+    return signs
+
+
 def _degenerate_clusters(spectral: SpectralData, measured=None) -> tuple[list[list[int]], float]:
     """``(clusters, ||H||_F / sep)`` of ``spectral``'s (sorted) real eigenvalues.
 
@@ -337,9 +379,15 @@ def _degenerate_clusters(spectral: SpectralData, measured=None) -> tuple[list[li
     taken it already.
     """
     _, scale, e = _norm_in_range(spectral.matrix) if measured is None else measured
-    steps = np.abs(np.diff(np.ldexp(spectral.eigenvalues.real, -e)))
+    x = spectral.eigenvalues.real
+    if e:
+        x = np.ldexp(x, -e)
+    steps = np.abs(x[1:] - x[:-1])
     split = steps > DEGENERATE_GAP_RTOL * scale
-    bounds = [0, *(np.flatnonzero(split) + 1).tolist(), len(steps) + 1]
+    if np.count_nonzero(split) == split.size:
+        # every eigenvalue its own cluster: every gap separates two
+        return [[k] for k in range(len(x))], scale / steps.min(initial=np.inf)
+    bounds = [0, *(np.flatnonzero(split) + 1).tolist(), len(x)]
     clusters = [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
     return clusters, scale / steps[split].min(initial=np.inf)
 
@@ -381,9 +429,12 @@ def biorthonormalize(matrix, *, normalization: str = "unit") -> BiorthonormalSys
     if normalization not in ("unit", "transpose"):
         raise ValueError(f"unknown normalization {normalization!r}")
     spectral = matrix if isinstance(matrix, SpectralData) else eigendecompose(matrix)
-    m = spectral.matrix
-    if normalization == "transpose" and not _relative_residual(m, lambda a: a - a.T) <= HERMITICITY_RTOL:
-        raise ValueError("transpose normalization requires a complex symmetric matrix")
+    # the transpose gate and the clusters share one measurement of the matrix
+    measured = _norm_in_range(spectral.matrix) if normalization == "transpose" else None
+    if measured is not None:
+        m, norm, _ = measured
+        if not _relative_residual(m, lambda a: a - a.T, norm) <= HERMITICITY_RTOL:
+            raise ValueError("transpose normalization requires a complex symmetric matrix")
     if spectral.classification is SpectrumClass.NEAR_DEFECTIVE:
         raise NotDiagonalizableError(
             f"eigenvector condition number {spectral.eigvec_condition:.3e} "
@@ -400,7 +451,7 @@ def biorthonormalize(matrix, *, normalization: str = "unit") -> BiorthonormalSys
 
     w = spectral.eigenvalues.real.copy()
     v = spectral.eigenvectors.copy()
-    clusters, _ = _degenerate_clusters(spectral)
+    clusters, _ = _degenerate_clusters(spectral, measured)
 
     if normalization == "unit":
         # The dual basis is the record's V^-1, changed as V is: no inverse here.
@@ -415,7 +466,7 @@ def biorthonormalize(matrix, *, normalization: str = "unit") -> BiorthonormalSys
         # Rotate each pivot onto the positive real axis: V D has dual rows
         # D^-1 V^-1.  conj(p) / |p| is exactly +-1 for a real pivot, so the
         # eigenvectors of a real matrix and their duals stay real.
-        pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+        pivots = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
         phases = np.conj(pivots) / np.abs(pivots)
         v *= phases
         dual /= phases[:, None]
@@ -423,16 +474,13 @@ def biorthonormalize(matrix, *, normalization: str = "unit") -> BiorthonormalSys
 
     if any(len(c) > 1 for c in clusters):
         raise ValueError("transpose normalization requires a nondegenerate spectrum")
-    psis = np.empty_like(v)
-    phis = np.empty_like(v)
-    for k in range(v.shape[1]):
-        sign = 1.0 if k % 2 == 0 else -1.0
-        c = v[:, k] @ v[:, k]
-        if abs(c) < 1e-12:
-            raise ValueError("self-orthogonal eigenvector; transpose normalization undefined")
-        psis[:, k] = np.sqrt(sign / c + 0j) * v[:, k]
-        phis[:, k] = sign * np.conj(psis[:, k])
-    return BiorthonormalSystem(w, psis, phis)
+    # psi_n^T psi_n, one dot product per column (an einsum would round otherwise)
+    c = np.array([v[:, k] @ v[:, k] for k in range(v.shape[1])])
+    if np.count_nonzero(np.abs(c) < 1e-12):
+        raise ValueError("self-orthogonal eigenvector; transpose normalization undefined")
+    signs = _alternating_signs(v.shape[1])
+    psis = np.sqrt(signs / c + 0j) * v
+    return BiorthonormalSystem(w, psis, signs * np.conj(psis))
 
 
 def matrix_exp(matrix) -> np.ndarray:
@@ -453,4 +501,4 @@ def _pauli_exp(theta: float, axis: np.ndarray) -> np.ndarray:
     Valid only for an involutory ``axis`` (``axis @ axis = 1``), such as a
     Pauli matrix or a unit combination of anticommuting ones.
     """
-    return np.cos(theta) * np.eye(axis.shape[0]) + 1j * np.sin(theta) * axis
+    return math.cos(theta) * np.eye(axis.shape[0]) + 1j * math.sin(theta) * axis

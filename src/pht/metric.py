@@ -32,6 +32,7 @@ from .linalg import (
     HERMITICITY_RTOL,
     WEIGHT_RCOND_LIMIT,
     BiorthonormalSystem,
+    _alternating_signs,
     _norm_in_range,
     _real_if_all_real,
     _real_if_real,
@@ -70,12 +71,6 @@ class MetricOperator:
         return self.eta_plus.shape[0]
 
 
-def _alternating_signs(n: int) -> np.ndarray:
-    signs = np.ones(n)
-    signs[1::2] = -1.0
-    return signs
-
-
 def build_eta_plus(system: BiorthonormalSystem) -> MetricOperator:
     """Assemble ``eta_plus = sum_n phi_n phi_n^dagger`` and its square root.
 
@@ -92,7 +87,8 @@ def build_eta_plus(system: BiorthonormalSystem) -> MetricOperator:
     """
     phi = _real_if_real(system.phi)
     eta = phi @ phi.conj().T
-    eta = 0.5 * (eta + eta.conj().T)
+    eta += eta.conj().T
+    eta *= 0.5
     w, v = np.linalg.eigh(eta)
     floor = WEIGHT_RCOND_LIMIT * max(abs(w[-1]), 1e-300)
     if w[0] <= floor:
@@ -101,9 +97,12 @@ def build_eta_plus(system: BiorthonormalSystem) -> MetricOperator:
             f"({WEIGHT_RCOND_LIMIT:.0e} * largest eigenvalue)"
         )
     roots = np.sqrt(w)
-    rho = (v * roots) @ v.conj().T
-    rho_inv = (v * (1.0 / roots)) @ v.conj().T
-    return MetricOperator(*(a.astype(complex, copy=False) for a in (eta, rho, rho_inv)))
+    v_h = v.conj().T
+    rho = (v * roots) @ v_h
+    rho_inv = (v * (1.0 / roots)) @ v_h
+    return MetricOperator(
+        eta.astype(complex, copy=False), rho.astype(complex, copy=False), rho_inv.astype(complex, copy=False)
+    )
 
 
 def _positive_metric(build_system, *args) -> MetricOperator:
@@ -195,14 +194,16 @@ def hermitize(hamiltonian, metric: MetricOperator) -> np.ndarray:
         If the partner's residual exceeds ``PSEUDO_HERMITICITY_TOL`` or is NaN.
     """
     h, _, e = _norm_in_range(as_square_matrix(hamiltonian))
-    partner = map_observable(h, metric, "from_tilde")
+    partner = _map_observable(h, metric, "from_tilde")
     residual = _relative_residual(partner, lambda p: p - p.conj().T)
     if not residual <= PSEUDO_HERMITICITY_TOL:
         raise NotPseudoHermitianError(
             f"pseudo-Hermiticity residual {residual:.3e} exceeds {PSEUDO_HERMITICITY_TOL:.1e}"
         )
+    if not e:
+        return partner
     with np.errstate(over="ignore"):
-        return np.ldexp(partner.view(float), e).view(complex) if e else partner
+        return np.ldexp(partner.view(float), e).view(complex)
 
 
 def map_observable(observable, metric: MetricOperator, direction: str = "to_tilde") -> np.ndarray:
@@ -213,7 +214,11 @@ def map_observable(observable, metric: MetricOperator, direction: str = "to_tild
     inner product); ``"from_tilde"`` inverts the map.  The two products run
     in real arithmetic when all three factors are real-valued.
     """
-    o = as_square_matrix(observable)
+    return _map_observable(as_square_matrix(observable), metric, direction)
+
+
+def _map_observable(o: np.ndarray, metric: MetricOperator, direction: str) -> np.ndarray:
+    """:func:`map_observable` of an observable that :func:`~pht.linalg.as_square_matrix` has validated."""
     if o.shape[0] != metric.dim:
         raise DimensionMismatchError(f"observable dim {o.shape[0]} != metric dim {metric.dim}")
     if direction == "to_tilde":

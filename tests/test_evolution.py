@@ -556,3 +556,33 @@ def test_blocks_stay_bounded_beyond_the_square_of_the_width(monkeypatch):
     sizes = [a.size for a in blocks]
     assert sum(sizes) == 2 * 10_001
     assert max(sizes) <= 64 * 2
+
+
+@pytest.mark.parametrize("d", [2, 7, 32])
+def test_real_basis_trajectories_match_complex_arithmetic(d):
+    # A real H with a real spectrum has real eigenvectors (and a real metric),
+    # so the trajectory multiplies the interleaved parts of the coefficient
+    # blocks by V and by W V in real arithmetic.  The reference forms the same
+    # states from the complex-typed V and W, which numpy hands to the complex
+    # routine; the two roundings of V a differ by about d eps ||V|| ||a||, at
+    # most d eps cond(V) relative to ||V a||, and a norm by twice that.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        s = rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-1.0, 1.0) + rng.uniform(0.0, 3.0) * np.eye(d)
+        h = s @ np.diag(rng.uniform(-2.0, 2.0, d)) @ np.linalg.inv(s)
+        spec = EvolutionSpec(h, rng.normal(size=d) + 1j * rng.normal(size=d), t1=3.0, steps=200)
+        spectral = spec._spectral
+        assert spectral.eigenvectors_inv.dtype == float
+        metric = metric_from_hamiltonian(spectral)
+        assert not metric.eta_plus.imag.any()
+        v = spectral.eigenvectors
+        _, blocks = evolution._propagate(spec, (spec.t1 - spec.t0) / spec.steps, spec.steps + 1)
+        a = np.concatenate(list(blocks), axis=1)
+        bound = 2 * d * eps * spectral.eigvec_condition
+        for kind, weight in (("euclidean", None), ("metric", metric.eta_plus)):
+            psi = v @ a
+            w_psi = psi if weight is None else (weight @ v) @ a
+            reference = np.sqrt(np.abs(np.einsum("ij,ij->j", psi.conj(), w_psi).real))
+            norms = norm_trajectory(spec, kind).norms
+            assert np.all(np.abs(norms - reference) <= bound * reference), kind

@@ -1,4 +1,6 @@
 """Eigendecomposition, biorthonormal systems, and matrix functions."""
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -23,6 +25,8 @@ from pht.linalg import (
     SpectrumClass,
     _condition_bounds,
     _degenerate_clusters,
+    _frobenius_norm,
+    _norm_in_range,
     _pauli_exp,
     _real_if_real,
     as_square_matrix,
@@ -511,3 +515,91 @@ def test_pauli_constants():
     npt.assert_allclose(SIGMA1 @ SIGMA2, 1j * SIGMA3, atol=0)
     npt.assert_allclose(SIGMA2 @ SIGMA3, 1j * SIGMA1, atol=0)
     npt.assert_allclose(SIGMA3 @ SIGMA1, 1j * SIGMA2, atol=0)
+
+
+def _general_formula_record(matrix, rtol):
+    """``(w, v, v^-1, class, matrix)`` by the formulas for any spectrum.
+
+    The real copy of a real-valued matrix is copied again, the spectrum is
+    sorted by ``lexsort`` on ``(-Im w, -Re w)``, every eigenvalue is held
+    to ``|Im w| <= rtol (1 + |w|)`` after the cast to complex, and the SVD
+    decides the near-defective verdict.
+    """
+    m = _real_if_real(as_square_matrix(matrix)).copy()
+    w, v = np.linalg.eig(m)
+    order = np.lexsort((-w.imag, -w.real))
+    w, v = w[order], v[:, order]
+    try:
+        v_inv = np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        v_inv = None
+    near_defective = not np.linalg.cond(v) <= EIGVEC_CONDITION_LIMIT
+    w, v = w.astype(complex), v.astype(complex)
+    with np.errstate(invalid="ignore"):
+        real = np.all(np.abs(w.imag) <= rtol * (1.0 + np.abs(w)))
+    if near_defective:
+        cls = SpectrumClass.NEAR_DEFECTIVE
+    else:
+        cls = SpectrumClass.REAL_DIAGONALIZABLE if real else SpectrumClass.CONJUGATE_PAIRS
+    return w, v, v_inv, cls, m
+
+
+def _record_cases():
+    rng = np.random.default_rng(23)
+    s = rng.normal(size=(5, 5)) + 2.0 * np.eye(5)
+    sc = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return {
+        "real-real-spectrum": s @ np.diag([3.0, 1.0, -0.5, 2.0, -2.0]) @ np.linalg.inv(s),
+        "real-conjugate-pairs": rng.normal(size=(6, 6)),
+        "real-rotation": [[0.0, -1.0], [1.0, 0.0]],
+        "complex-real-spectrum": sc @ np.diag([1.0, -1.0, 0.5, 2.0]) @ np.linalg.inv(sc),
+        "complex-spectrum": rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)),
+        "real-exact-cluster": s @ np.diag([1.0, 1.0, 1.0, -2.0, 0.5]) @ np.linalg.inv(s),
+        "complex-exact-cluster": sc @ np.diag([2.0, 2.0, -1.0, -1.0]) @ np.linalg.inv(sc),
+        "scalar": 2.0 * np.eye(3),
+        "zero": np.zeros((3, 3)),
+        "near-defective": [[1.0, 1.0], [0.0, 1.0 + 1e-12]],
+        "defective-singular-v": [[0.0, 0.0], [1.0, 0.0]],
+        "shift-singular-v": np.eye(4, k=1),
+        "upper-1e308": [[1e308, 1e308j], [0.0, -1e308]],
+        "rotation-1e308": [[1e308, 1e308], [-1e308, 1e308]],
+        "upper-1.6e308": [[8e307, 1.2e308], [0.0, 1.6e308]],
+        # eig overflows one eigenvalue to inf: a real spectrum, which rtol = 0 refuses
+        "ones-1e308": [[1e308, 1e308], [1e308, 1e308]],
+    }
+
+
+@pytest.mark.parametrize("rtol", [0.0, REALITY_RTOL, 1e-3])
+@pytest.mark.parametrize("name", sorted(_record_cases()))
+def test_eigendecompose_matches_the_general_formulas(name, rtol):
+    # the real-spectrum read (eig's dtype), the one argsort and the one copy
+    # of a real matrix give the arrays and the class of the general formulas
+    matrix = np.asarray(_record_cases()[name])
+    with np.errstate(invalid="ignore"):
+        record = eigendecompose(matrix, rtol)
+    w, v, v_inv, cls, m = _general_formula_record(matrix, rtol)
+    assert record.classification is cls
+    assert np.array_equal(record.eigenvalues, w, equal_nan=True)
+    assert np.array_equal(record.eigenvectors, v, equal_nan=True)
+    assert (record.eigenvectors_inv is None) == (v_inv is None)
+    if v_inv is not None:
+        assert np.array_equal(record.eigenvectors_inv, v_inv, equal_nan=True)
+    assert np.array_equal(record.matrix, m) and record.matrix.dtype == m.dtype
+    assert not np.shares_memory(record.matrix, matrix)
+
+
+def test_frobenius_norm_is_numpys_bit_for_bit_and_reports_no_overflow():
+    # the norm of every gate: np.linalg.norm's value for every layout, and an
+    # overflow to inf with no warning, so _norm_in_range needs no errstate
+    rng = np.random.default_rng(29)
+    for d in (1, 2, 7, 32):
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        for a in (m, m.T, m.conj().T, m.real, m.real.T, m[:, ::2]):
+            assert _frobenius_norm(a) == float(np.linalg.norm(a))
+    huge = np.array([[1e308, 1e308j], [0.0, -1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _frobenius_norm(huge) == np.inf
+        assert _frobenius_norm(huge.real) == np.inf
+        scaled, norm, e = _norm_in_range(huge)
+    assert e == 1024 and norm == _frobenius_norm(np.ldexp(huge.view(float), -1024).view(complex))

@@ -358,3 +358,19 @@ def test_real_operators_take_real_products_that_match_complex_arithmetic(d):
             assert not value.imag.any() and not np.signbit(value.imag).any(), name
             bound = 2 * (len(factors) - 1) * d * eps * np.prod([np.linalg.norm(f) for f in factors])
             assert np.linalg.norm(value - reference) <= bound, (name, seed)
+
+
+def test_hermitize_validates_h_once(monkeypatch):
+    # the partner's product takes H as hermitize validated and scaled it
+    from pht import metric as metric_module
+
+    h = symmetric_hamiltonian(SymmetricFamilyParams(0.2, 0.5, 1.0, 0.3))
+    metric = metric_from_hamiltonian(h)
+    validated = []
+    as_square = metric_module.as_square_matrix
+    monkeypatch.setattr(metric_module, "as_square_matrix", lambda m: validated.append(1) or as_square(m))
+    hermitize(h, metric)
+    assert validated == [1]
+    # map_observable still validates its own operand
+    map_observable(h, metric)
+    assert validated == [1, 1]
