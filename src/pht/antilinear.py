@@ -20,6 +20,7 @@ from .linalg import (
     SpectralData,
     SpectrumClass,
     _degenerate_clusters,
+    _frobenius_norm,
     _norm_in_range,
     _pauli_exp,
     _real_if_all_real,
@@ -35,9 +36,10 @@ from .linalg import (
 INVOLUTION_ATOL = 1e-10
 # PT-commutator residual above which a Hamiltonian is not PT-symmetric.
 PT_RESIDUAL_TOL = 1e-8
-# Multiple of check_exactness's first-order budget that a fixed point's defect
-# may reach.  On 7400 random PT-symmetric inputs with an involutive PT (d 2-32,
-# cond(V) up to 1e8, commutator residuals up to 1e-8) it reached 2.2 budgets.
+# Multiple of check_exactness's first-order budget that a column's defect may
+# reach.  On 7238 random exact pairs (d 2-32, cond(S) up to 1e8 for
+# H = S diag(w) S^-1, clusters of up to 5, commutator residuals up to 1e-8,
+# T = K, u u^T K and c K) it reached 0.40 budgets.
 FIXED_POINT_MARGIN = 64.0
 
 
@@ -159,13 +161,15 @@ def check_pt_symmetry(hamiltonian, parity, time_reversal: AntilinearOperator) ->
     return _pt_residual(_norm_in_range(as_square_matrix(hamiltonian)), parity, time_reversal)[0]
 
 
-def _pt_residual(measured, parity, time_reversal: AntilinearOperator) -> tuple[float, np.ndarray]:
-    """``(residual, P tau)``: :func:`check_pt_symmetry` for ``H`` as ``_norm_in_range`` measured it.
+def _pt_residual(measured, parity, time_reversal: AntilinearOperator) -> tuple[float, float, np.ndarray]:
+    """``(residual, scaled, P tau)``: :func:`check_pt_symmetry` for ``H`` as ``_norm_in_range`` measured it.
 
     The one body of the PT gate, shared by :func:`check_pt_symmetry` and
     :func:`check_exactness`, so that the latter measures ``H`` once and forms
-    ``P tau`` once.  ``P tau`` is returned at the operands' own scale (the
-    powers of two are exact), real when ``P`` and ``tau`` are real-valued.
+    ``P tau`` once.  ``P tau`` is returned at the power-of-two scale that
+    ``_norm_in_range`` gave ``P`` and ``tau``, real when both are real-valued.
+    ``scaled`` is the residual of that ``P tau``, and ``residual`` is
+    ``scaled`` scaled back by those powers (the powers of two are exact).
     """
     h, norm, _ = measured
     p = as_square_matrix(parity)
@@ -177,36 +181,33 @@ def _pt_residual(measured, parity, time_reversal: AntilinearOperator) -> tuple[f
         # the gate has found P real-valued
         tau, h = _real_if_all_real(tau, h)
     lin = p @ tau
-    residual = _relative_residual(h, lambda m: m @ lin - lin @ np.conj(m), norm)
+    scaled = _relative_residual(h, lambda m: m @ lin - lin @ np.conj(m), norm)
     e = e_p + e_tau
     if not e:
-        return residual, lin
+        return scaled, scaled, lin
     with np.errstate(over="ignore"):
-        return float(np.ldexp(residual, e)), np.ldexp(lin.view(float), e).view(lin.dtype)
+        return float(np.ldexp(scaled, e)), scaled, lin
 
 
 @dataclass(frozen=True)
 class ExactnessReport:
-    """Whether an antilinear symmetry is exact, and its fixed eigenvectors.
+    """Whether an antilinear symmetry is exact, and its eigenvectors normalized under ``PT``.
 
-    ``exact`` is True when the spectrum is real and diagonalizable; then
-    ``fixed_eigenvectors`` holds one eigenvector per column, rescaled to be
-    pointwise invariant under ``PT``.  Otherwise ``failure_reason`` is
-    ``"complex_eigenvalues"`` or ``"not_diagonalizable"``.
+    ``exact`` is True when the pair passes the commutator gate, the
+    spectrum is real and diagonalizable, and every eigenvector is an
+    eigenvector of ``PT``; then ``fixed_eigenvectors`` holds
+    one eigenvector ``f`` per column, with its phase chosen so that
+    ``PT f = |N| f``.  Otherwise ``fixed_eigenvectors`` is None and
+    ``failure_reason`` is ``"not_pt_symmetric"``, ``"complex_eigenvalues"``
+    or ``"not_diagonalizable"``.  ``pt_residual`` is the commutator residual
+    of :func:`check_pt_symmetry`, which the gate compared with its ``atol``
+    (:func:`check_exactness` states the gate's second, scale-free part).
     """
 
     exact: bool
     fixed_eigenvectors: np.ndarray | None
     failure_reason: str | None
-
-
-def _exactness_failure(classification: SpectrumClass) -> str | None:
-    """``failure_reason`` of a PT-symmetric ``H`` with this spectrum; None when exact."""
-    if classification is SpectrumClass.REAL_DIAGONALIZABLE:
-        return None
-    if classification is SpectrumClass.NEAR_DEFECTIVE:
-        return "not_diagonalizable"
-    return "complex_eigenvalues"
+    pt_residual: float
 
 
 def _pt_fix_cluster(columns: np.ndarray, chi: np.ndarray) -> np.ndarray:
@@ -225,80 +226,120 @@ def _pt_fix_cluster(columns: np.ndarray, chi: np.ndarray) -> np.ndarray:
     return u[:d, :k] + 1j * u[d:, :k]
 
 
-def check_exactness(hamiltonian, parity, time_reversal: AntilinearOperator) -> ExactnessReport:
-    """Decide exactness of the ``PT`` symmetry and produce fixed eigenvectors.
+def check_exactness(
+    hamiltonian, parity, time_reversal: AntilinearOperator, *, atol: float = PT_RESIDUAL_TOL
+) -> ExactnessReport:
+    """Decide exactness of the ``PT`` symmetry by the paper's definition.
 
-    The symmetry is exact when every eigenvector can be rescaled to a ``PT``
-    fixed point, which for an involutive antilinear symmetry happens exactly
-    when the spectrum is real and the matrix diagonalizable.  Nondegenerate
-    eigenvectors satisfy ``PT psi = N psi`` with ``|N| = 1``, so the phase
-    ``psi -> e^{i arg(N) / 2} psi`` fixes them; degenerate clusters are
-    handled by real-linear combination.
+    The symmetry is exact when ``[H, PT] = 0`` and every eigenvector of ``H``
+    is also an eigenvector of ``PT``.  The commutator gate compares the
+    residual of :func:`check_pt_symmetry` with ``atol``, and asks that the
+    eigenvector budget below, at ``cond(V) = 1``, stay below 1: a larger
+    one would admit any defect of a unit column, so ``rho`` is then too
+    large against the eigenvalue gaps to count as rounding, at any ``atol``
+    and any scale of ``P`` and ``tau``.  A pair that fails either part gets
+    the report ``failure_reason="not_pt_symmetric"``.  A complex or
+    near-defective spectrum gets ``"complex_eigenvalues"`` or
+    ``"not_diagonalizable"`` (the budget needs the gaps of a real spectrum,
+    so there the second part is taken at ``sep = inf``).  Otherwise the
+    eigenvectors are returned with their phases chosen so that
+    ``PT f = |N| f``:
+
+    * a nondegenerate eigenvector satisfies ``PT psi = N psi``, since ``PT``
+      maps the eigenspace of a real ``E`` to itself, and
+      ``psi -> e^{i arg(N) / 2} psi`` normalizes it;
+    * on a degenerate cluster, ``(PT)^2`` must act as ``mu 1`` with
+      ``mu >= 0``, as it does on a nondegenerate eigenvector, with
+      ``mu = |N|^2``.  For ``mu > 0``, ``PT / sqrt(mu)`` is an antilinear
+      involution there, and the columns are :func:`_pt_fix_cluster` of
+      ``PT / sqrt(mu)``, with ``|N| = sqrt(mu)``.  ``mu`` is read as the mean
+      of ``<psi, (PT)^2 psi>`` over the cluster's unit eigenvectors; where it
+      is not positive the columns are kept and ``|N| = 0``, so ``PT`` must
+      vanish on them, as it must on a nondegenerate eigenvector with
+      ``N = 0``.  Any other cluster (``(PT)^2 = -1``, as for ``sigma_2 K``,
+      or not a multiple of 1) fails the column check below, and is refused
+      with :class:`~pht.errors.NotPTSymmetricError`.
 
     ``hamiltonian`` is a square matrix or its :func:`eigendecompose` record,
     which is used as it is: the spectrum is then real to within the record's
     ``reality_rtol``, and no second ``eig`` is made.  A matrix is decomposed
     first, and the ``PT`` gate reads the record's matrix either way; that
     matrix is measured once and ``P tau`` formed once for the gate, the
-    clusters and the fixed points, in real arithmetic where all are real.
+    clusters and the eigenvectors, in real arithmetic where all are real.
+    ``P tau`` stays at the power-of-two scale that the gate gave it.
 
-    Every returned column ``f`` is checked to be fixed.  Its defect is
-    ``||N| - 1|`` for a nondegenerate eigenvector (that is ``|PT f - f|``
-    when ``PT psi = N psi``) and ``|PT f - f|`` for a cluster column.  For an
-    involution only the error of the computed eigenvectors is left.  They are
-    exact for ``H + E`` with ``||E||`` about ``(rho + eps) ||H||_F``, ``rho``
-    the commutator residual and ``eps`` the rounding of ``eig``; to first
-    order that moves ``|N_n|`` by at most
-    ``2 ||E|| ||V^-1|| sum_m 1 / |w_n - w_m|``, where ``||V^-1|| <= cond(V)``
-    for unit columns and the sum is at most ``d / sep``, ``sep`` the smallest
-    gap between clusters, which the routine that finds them measures too.
-    Forming ``PT f`` rounds by about ``eps ||P tau||_F``, which a cluster's
-    basis amplifies by at most ``cond(V)``.  The budget is therefore
-    ``FIXED_POINT_MARGIN (rho + eps) cond(V) (||P tau||_F + d ||H||_F / sep)``.
-    With ``T = 2K``, which squares to 4, every ``|N|`` is 2, far beyond it.
+    Every returned column ``f`` is checked.  Its defect is
+    ``|PT f - |N| f| / ||P tau||_F``: for a nondegenerate eigenvector, the
+    part of ``PT psi`` orthogonal to ``psi``.  The defect and its budget are
+    homogeneous of degree 0 in ``P`` and in ``tau``, so neither changes when
+    either is rescaled.  Only the error of the computed eigenvectors is left
+    when ``PT`` acts as above.  They are exact for ``H + E`` with ``||E||``
+    about ``(rho + eps) ||H||_F``, ``rho`` the commutator residual relative to
+    ``||P tau||_F`` and ``eps`` the rounding of ``eig``; to first order that
+    moves an eigenvector by at most ``||E|| ||V^-1|| sum_m 1 / |w_n - w_m|``,
+    where ``||V^-1|| <= cond(V)`` for unit columns and the sum is at most
+    ``d / sep``, ``sep`` the smallest gap between clusters, which the routine
+    that finds them measures too.  That changes the defect by at most about
+    three times as much.  Forming ``PT f`` rounds by about ``eps`` relative to
+    ``||P tau||_F``, which a cluster's basis amplifies by at most ``cond(V)``.
+    The budget is therefore
+    ``FIXED_POINT_MARGIN (rho + eps) cond(V) (1 + d ||H||_F / sep)``, a
+    first-order estimate that holds only while it is small, which the gate's
+    second part ensures at ``cond(V) = 1``.
     ``cond(V)`` is the record's ``eigvec_condition``, an SVD, which is taken
     only when the defect exceeds the budget at ``cond(V) = 1``, its least
     value; the verdict is the same.
 
     Raises
     ------
+    SingularParityError
+        If ``parity`` is numerically singular.
     NotPTSymmetricError
-        If the commutator residual exceeds ``PT_RESIDUAL_TOL``, or a fixed
-        point's defect exceeds its budget, so that ``PT`` does not act as an
-        involution on the eigenvectors.
+        If a column's defect exceeds its budget, as it does when ``(PT)^2``
+        acts on a degenerate cluster as no multiple ``mu >= 0`` of the
+        identity.
     """
     spectral = hamiltonian if isinstance(hamiltonian, SpectralData) else eigendecompose(hamiltonian)
     measured = _norm_in_range(spectral.matrix)
-    residual, lin = _pt_residual(measured, parity, time_reversal)
-    if not residual <= PT_RESIDUAL_TOL:
-        raise NotPTSymmetricError(
-            f"PT commutator residual {residual:.3e} exceeds {PT_RESIDUAL_TOL:.1e}"
-        )
-    failure = _exactness_failure(spectral.classification)
-    if failure is not None:
-        return ExactnessReport(False, None, failure)
+    residual, scaled, lin = _pt_residual(measured, parity, time_reversal)
+    # a zero tau maps every vector to 0 = 0 f, with no residual to relate
+    size = _frobenius_norm(lin) or 1.0
+    rate = FIXED_POINT_MARGIN * (scaled / size + np.finfo(float).eps)
+    if not (residual <= atol and rate < 1.0):
+        return ExactnessReport(False, None, "not_pt_symmetric", residual)
+    if spectral.classification is SpectrumClass.NEAR_DEFECTIVE:
+        return ExactnessReport(False, None, "not_diagonalizable", residual)
+    if spectral.classification is SpectrumClass.CONJUGATE_PAIRS:
+        return ExactnessReport(False, None, "complex_eigenvalues", residual)
+    clusters, h_over_sep = _degenerate_clusters(spectral, measured)
+    spread = 1.0 + len(spectral.eigenvalues) * h_over_sep
+    if not rate * spread < 1.0:
+        return ExactnessReport(False, None, "not_pt_symmetric", residual)
 
     v = spectral.eigenvectors
     chi = lin @ np.conj(v if np.iscomplexobj(lin) else _real_if_real(v))
-    # <psi, PT psi> = N, since <psi, psi> = 1: arg N fixes psi, and |N| must be 1
+    # <psi, PT psi> = N, since <psi, psi> = 1: arg N normalizes psi
     overlap = np.einsum("ij,ij->j", v.conj(), chi)
     fixed = v * np.exp(0.5j * np.angle(overlap))
-    defect = np.abs(np.abs(overlap) - 1.0)
-    clusters, h_over_sep = _degenerate_clusters(spectral, measured)
+    # the part of PT psi orthogonal to psi
+    defect = np.linalg.norm(chi - v * overlap, axis=0)
     for cluster in clusters:
         if len(cluster) > 1:
-            fixed[:, cluster] = _pt_fix_cluster(v[:, cluster], chi[:, cluster])
-            defect[cluster] = np.linalg.norm(lin @ np.conj(fixed[:, cluster]) - fixed[:, cluster], axis=0)
-    rate = FIXED_POINT_MARGIN * (residual + np.finfo(float).eps)
-    spread = np.linalg.norm(lin) + len(v) * h_over_sep
+            columns = v[:, cluster]
+            mu = np.einsum("ij,ij->j", columns.conj(), lin @ np.conj(chi[:, cluster])).real.mean()
+            root = math.sqrt(mu) if mu > 0.0 else 0.0
+            # |N| = 0 keeps the columns: PT must vanish on them
+            fixed[:, cluster] = f = _pt_fix_cluster(columns, chi[:, cluster] / root) if root else columns
+            defect[cluster] = np.linalg.norm(lin @ np.conj(f) - root * f, axis=0)
+    defect = defect.max() / size
     # The budget grows with cond(V), whose least value is 1 (an SVD's ratio
     # sigma_max / sigma_min is at least 1 too): a defect within the budget at
     # 1 needs no SVD.
-    if not defect.max() <= rate * spread:
+    if not defect <= rate * spread:
         budget = rate * spectral.eigvec_condition * spread
-        if not defect.max() <= budget:
+        if not defect <= budget:
             raise NotPTSymmetricError(
-                f"PT fixed-point defect {defect.max():.3e} exceeds its budget {budget:.3e}: "
-                "PT does not act as an involution on the eigenvectors"
+                f"PT eigenvector defect {defect:.3e} exceeds its budget {budget:.3e}: "
+                "PT / |N| does not act as an involution on the eigenvectors"
             )
-    return ExactnessReport(True, fixed, None)
+    return ExactnessReport(True, fixed, None, residual)

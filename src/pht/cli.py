@@ -24,8 +24,7 @@ from .antilinear import (
     PT_RESIDUAL_TOL,
     AntilinearOperator,
     TimeReversalParams,
-    _exactness_failure,
-    check_pt_symmetry,
+    check_exactness,
     unitary_sqrt_of_tau,
 )
 from .errors import (
@@ -286,29 +285,18 @@ def _canonical_system(spectral):
         return biorthonormalize(spectral, normalization="unit")
 
 
-def _pt_verdict(args, h: np.ndarray, spectral=None):
-    """PT residual of ``h`` under ``--parity``/``--tau``, and the exactness verdict.
-
-    Returns ``(residual, pt_symmetric, failure_reason)``.  The spectrum is
-    consulted only when the residual passes ``--atol``; ``spectral`` is the
-    decomposition of ``h`` when the caller already has it.
-    """
-    dim = h.shape[0]
-    parity = _load_matrix(args.parity) if args.parity else np.eye(dim, dtype=complex)
-    tau = _load_matrix(args.tau) if args.tau else np.eye(dim, dtype=complex)
-    residual = check_pt_symmetry(h, parity, AntilinearOperator(tau))
-    if not residual <= args.atol:
-        return residual, False, "not_pt_symmetric"
-    if spectral is None:
-        spectral = eigendecompose(h, _reality_rtol(args))
-    return residual, True, _exactness_failure(spectral.classification)
+def _exactness(args, spectral):
+    """:func:`check_exactness` of the record under ``--parity``, ``--tau`` and ``--atol``."""
+    dim = spectral.matrix.shape[0]
+    parity = _load_matrix(args.parity) if args.parity else np.eye(dim)
+    tau = _load_matrix(args.tau) if args.tau else np.eye(dim)
+    return check_exactness(spectral, parity, AntilinearOperator(tau), atol=args.atol)
 
 
 def cmd_analyze(args) -> int:
     h = _load_matrix(args.input)
     spectral = eigendecompose(h, reality_rtol=_reality_rtol(args))
-    pt_residual, pt_symmetric, failure_reason = _pt_verdict(args, h, spectral)
-    exact = failure_reason is None
+    exactness = _exactness(args, spectral)
     # JSON has no infinity: an exactly defective input reports a null condition.
     cond = spectral.eigvec_condition
 
@@ -317,14 +305,14 @@ def cmd_analyze(args) -> int:
         "classification": spectral.classification.value,
         "eigenvalues": [[w.real, w.imag] for w in spectral.eigenvalues],
         "eigvec_condition": cond if np.isfinite(cond) else None,
-        "pt_residual": pt_residual,
-        "pt_symmetric": pt_symmetric,
-        "exact": exact,
-        "failure_reason": failure_reason,
+        "pt_residual": exactness.pt_residual,
+        "pt_symmetric": exactness.failure_reason != "not_pt_symmetric",
+        "exact": exactness.exact,
+        "failure_reason": exactness.failure_reason,
         "metric_available": spectral.classification is SpectrumClass.REAL_DIAGONALIZABLE,
     }
     _emit(report)
-    if args.require_exact and not exact:
+    if args.require_exact and not exactness.exact:
         return EXIT_SYMMETRY
     return EXIT_OK
 
@@ -430,14 +418,15 @@ def cmd_evolve(args) -> int:
 
 def cmd_check_pt(args) -> int:
     h = _load_matrix(args.input)
-    residual, pt_symmetric, failure_reason = _pt_verdict(args, h)
+    exactness = _exactness(args, eigendecompose(h, _reality_rtol(args)))
+    pt_symmetric = exactness.failure_reason != "not_pt_symmetric"
     report = {
         "dim": h.shape[0],
-        "pt_residual": residual,
+        "pt_residual": exactness.pt_residual,
         "pt_symmetric": pt_symmetric,
-        # exactness is decided only for a PT-symmetric pair
-        "exact": failure_reason is None if pt_symmetric else None,
-        "failure_reason": failure_reason if pt_symmetric else None,
+        # exactness is reported only for a PT-symmetric pair
+        "exact": exactness.exact if pt_symmetric else None,
+        "failure_reason": exactness.failure_reason if pt_symmetric else None,
     }
     _emit(report)
     if args.require_exact and not report["exact"]:

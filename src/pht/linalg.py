@@ -217,7 +217,8 @@ class SpectralData:
         present) or ``NEAR_DEFECTIVE``.
     reality_rtol : float
         The relative tolerance that decided ``classification``: an eigenvalue
-        ``w`` counts as real when ``|Im w| <= reality_rtol * (1 + |w|)``.
+        ``w`` counts as real when it is not NaN and ``Im w = 0`` or
+        ``|Im w| <= reality_rtol * (1 + |w|)``.
     matrix : ndarray
         A copy of the matrix as it was decomposed: real when no imaginary
         part is nonzero, complex otherwise.  It and the three arrays above
@@ -277,10 +278,14 @@ def _condition_bounds(v_inv: np.ndarray) -> tuple[float, float]:
 def eigendecompose(matrix, reality_rtol: float = REALITY_RTOL) -> SpectralData:
     """Eigendecompose ``matrix`` and classify its spectrum.
 
-    An eigenvalue ``w`` counts as real when ``|Im w| <= rtol * (1 + |w|)``.
-    The matrix is flagged near-defective when the eigenvector matrix has
-    condition number above ``EIGVEC_CONDITION_LIMIT`` (or an infinite or NaN
-    one); that verdict takes precedence over the reality classification.
+    An eigenvalue ``w`` counts as real when ``Im w = 0`` or
+    ``|Im w| <= rtol * (1 + |w|)``; the first holds under any tolerance, an
+    infinite ``w`` under ``rtol = 0`` included, and a NaN ``w`` is never
+    real, whatever its eigenvector holds.  The matrix is flagged
+    near-defective when the eigenvector matrix has condition number above
+    ``EIGVEC_CONDITION_LIMIT`` (or an infinite or NaN one: a non-finite
+    eigenvector matrix reads NaN without an SVD, which would not converge);
+    that verdict takes precedence over the reality classification.
     The eigenvectors are inverted once, and the inverse decides the verdict
     wherever its bounds (:func:`_condition_bounds`) clear the limit, so an
     SVD is taken only near the limit or for a singular eigenvector matrix.
@@ -289,9 +294,8 @@ def eigendecompose(matrix, reality_rtol: float = REALITY_RTOL) -> SpectralData:
     A real-valued matrix is copied once, as the real copy that is decomposed
     and kept; a complex one is copied as it is.  ``eig`` of a real matrix
     returns a real ``w`` only when every ``Im w`` is exactly 0: such a
-    spectrum is sorted by one stable ``argsort``, and it passes the reality
-    test unless its bound ``rtol (1 + |w|)`` is NaN (a NaN eigenvalue, or an
-    infinite one under ``rtol = 0``), which one maximum decides.
+    spectrum is sorted by one stable ``argsort``, and it is real with no
+    bound to test unless it holds a NaN.
     """
     if not reality_rtol >= 0:
         raise ValueError(f"reality_rtol must be >= 0, got {reality_rtol!r}")
@@ -313,14 +317,13 @@ def eigendecompose(matrix, reality_rtol: float = REALITY_RTOL) -> SpectralData:
     if lo > EIGVEC_CONDITION_LIMIT or hi <= EIGVEC_CONDITION_LIMIT:
         near_defective, cond = lo > EIGVEC_CONDITION_LIMIT, None
     else:
-        cond = float(np.linalg.cond(v))
+        # the SVD of a non-finite v would not converge
+        cond = float(np.linalg.cond(v)) if _all_finite(v) else math.nan
         near_defective = not cond <= EIGVEC_CONDITION_LIMIT
     if near_defective:
         cls = SpectrumClass.NEAR_DEFECTIVE
-    elif (
-        reality_rtol * (1.0 + np.abs(w).max()) >= 0.0
-        if real_spectrum
-        else np.count_nonzero(np.abs(w.imag) <= reality_rtol * (1.0 + np.abs(w))) == w.size
+    elif not np.isnan(w).any() and (
+        real_spectrum or np.all((w.imag == 0.0) | (np.abs(w.imag) <= reality_rtol * (1.0 + np.abs(w))))
     ):
         cls = SpectrumClass.REAL_DIAGONALIZABLE
     else:
@@ -419,7 +422,8 @@ def biorthonormalize(matrix, *, normalization: str = "unit") -> BiorthonormalSys
     NotDiagonalizableError
         If the eigenvector matrix is near-singular.
     ComplexSpectrumError
-        If the spectrum is not real to within ``REALITY_RTOL``.
+        If the spectrum is not real to within the record's ``reality_rtol``
+        (``REALITY_RTOL`` when a matrix is decomposed here).
     ValueError
         If ``normalization`` names neither convention (checked before any
         other work), or if ``"transpose"`` meets a matrix that is not complex

@@ -6,7 +6,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pht.antilinear import (
+    FIXED_POINT_MARGIN,
+    PT_RESIDUAL_TOL,
     AntilinearOperator,
+    ExactnessReport,
     TimeReversalParams,
     apply_antilinear,
     check_exactness,
@@ -27,7 +30,7 @@ from pht.families import (
     parity_from_angle,
     symmetric_hamiltonian,
 )
-from pht.linalg import EIGVEC_CONDITION_LIMIT, SIGMA2, SIGMA3, eigendecompose
+from pht.linalg import EIGVEC_CONDITION_LIMIT, SIGMA2, SIGMA3, _degenerate_clusters, eigendecompose
 
 from conftest import integer_grid_matrices, random_exact_symmetric_params, scale_by_power_of_two
 
@@ -209,10 +212,73 @@ def test_check_exactness_defective():
 
 
 def test_check_exactness_requires_the_symmetry():
+    # a pair above the commutator gate gets a report, with the residual it
+    # compared; atol moves the gate
     rng = np.random.default_rng(33)
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    with pytest.raises(NotPTSymmetricError):
-        check_exactness(m, np.eye(2), AntilinearOperator(np.eye(2)))
+    conj = AntilinearOperator(np.eye(2))
+    residual = check_pt_symmetry(m, np.eye(2), conj)
+    assert residual > PT_RESIDUAL_TOL
+    report = check_exactness(m, np.eye(2), conj)
+    assert report == ExactnessReport(False, None, "not_pt_symmetric", residual)
+    # m's residual is of the order of ||P tau||: no atol opens the gate
+    assert check_exactness(m, np.eye(2), conj, atol=np.inf) == report
+    # past the gate, the spectrum decides: a real H with a complex spectrum,
+    # moved off the symmetry by 1e-6
+    h = np.array([[1.0, 2.0], [-2.0, 1.0]]) + 1e-6j * m
+    residual = check_pt_symmetry(h, np.eye(2), conj)
+    assert residual > PT_RESIDUAL_TOL
+    assert check_exactness(h, np.eye(2), conj).failure_reason == "not_pt_symmetric"
+    loose = check_exactness(h, np.eye(2), conj, atol=2.0 * residual)
+    assert loose == ExactnessReport(False, None, "complex_eigenvalues", residual)
+
+
+def test_check_exactness_refuses_a_residual_that_is_large_at_the_scale_of_pt():
+    # [[1, 2], [0.5, -1]] does not commute with sigma_3 K: its eigenvectors
+    # are no eigenvectors of sigma_3 K.  Under tau = 1e-12 its residual,
+    # 1.6e-12, is below the default atol, and under atol = inf any residual
+    # is; relative to ||P tau||_F it is 1.17 either way, which no budget for
+    # rounding covers
+    h = np.array([[1.0, 2.0], [0.5, -1.0]])
+    tiny = check_exactness(h, SIGMA3, AntilinearOperator(1e-12 * np.eye(2)))
+    assert tiny.pt_residual < PT_RESIDUAL_TOL
+    assert (tiny.exact, tiny.fixed_eigenvectors, tiny.failure_reason) == (False, None, "not_pt_symmetric")
+    opened = check_exactness(h, SIGMA3, AntilinearOperator(np.eye(2)), atol=np.inf)
+    assert (opened.exact, opened.fixed_eigenvectors, opened.failure_reason) == (False, None, "not_pt_symmetric")
+    for j in (-1000, -1, 1, 1000):
+        for p, t in ((scale_by_power_of_two(SIGMA3, j), np.eye(2)), (SIGMA3, scale_by_power_of_two(np.eye(2), j))):
+            assert check_exactness(h, p, AntilinearOperator(t), atol=np.inf).failure_reason == "not_pt_symmetric"
+
+
+def test_check_exactness_refuses_a_residual_too_large_for_the_eigenvalue_gaps():
+    # The same residual (4e-9, within the default atol) moves the eigenvectors
+    # of diag(0, g, 1) by about 4e-9 / g: it is rounding against g = 1e-3,
+    # and against g = 1e-7 the eigenvectors are no longer decided by it
+    e = np.random.default_rng(0).normal(size=(3, 3))
+    conj = AntilinearOperator(np.eye(3))
+    wide = check_exactness(np.diag([0.0, 1e-3, 1.0]) + 1e-9j * e, np.eye(3), conj)
+    narrow = check_exactness(np.diag([0.0, 1e-7, 1.0]) + 1e-9j * e, np.eye(3), conj)
+    assert wide.pt_residual == pytest.approx(narrow.pt_residual, rel=1e-6) and wide.pt_residual < PT_RESIDUAL_TOL
+    assert wide.exact
+    assert (narrow.exact, narrow.failure_reason) == (False, "not_pt_symmetric")
+
+
+def test_check_exactness_reads_a_pt_that_vanishes_as_n_equal_to_0_on_every_spectrum():
+    # PT f = 0 f for every f: a zero tau is exact on a degenerate H as on a
+    # nondegenerate one, with the eigenvectors as they are
+    for h in (np.array([[1.0, 2.0], [0.5, -1.0]]), np.diag([1.0, 1.0, -1.0])):
+        spectral = eigendecompose(h)
+        report = check_exactness(spectral, np.eye(len(h)), AntilinearOperator(np.zeros_like(h)))
+        assert report.exact and report.pt_residual == 0.0
+        assert np.array_equal(report.fixed_eigenvectors, spectral.eigenvectors)
+    # a tau that vanishes on the cluster only: N = 0 there, |N| = 1 on e_3
+    report = check_exactness(np.diag([1.0, 1.0, -1.0]), np.eye(3), AntilinearOperator(np.diag([0.0, 0.0, 1.0])))
+    assert report.exact
+    # and one that does not vanish on it, with (PT)^2 = 0 there, is refused
+    nilpotent = np.zeros((3, 3))
+    nilpotent[0, 1] = 1.0
+    with pytest.raises(NotPTSymmetricError, match="exceeds its budget"):
+        check_exactness(np.diag([1.0, 1.0, -1.0]), np.eye(3), AntilinearOperator(nilpotent))
 
 
 def _degenerate_hamiltonians(rng, count):
@@ -262,20 +328,40 @@ def test_check_exactness_degenerate_eigenspace():
         assert np.linalg.cond(fixed) < EIGVEC_CONDITION_LIMIT
 
 
-def test_check_exactness_refuses_a_pt_that_is_not_an_involution():
-    # T = 2K commutes with a real H but squares to 4: |<psi, PT psi>| = 2 for
-    # every eigenvector, so no rescaling fixes one
-    h = np.array([[1.0, 2.0], [0.5, -1.0]])
-    with pytest.raises(NotPTSymmetricError, match=r"defect 1\.000e\+00 exceeds its budget \d\.\d+e-1\d"):
-        check_exactness(h, np.eye(2), AntilinearOperator(2.0 * np.eye(2)))
-    assert check_exactness(h, np.eye(2), AntilinearOperator(np.eye(2))).exact
+def _non_scalar_cluster():
+    """``(H, tau)``: on the cluster of ``diag(1, 1, -1)``, ``(PT)^2`` is not a multiple of 1.
 
-    # on the cluster of diag(1, 1, -1), tau = [[1, .5], [.5, 1]] gives
-    # |<e_k, PT e_k>| = 1, but it squares to [[1.25, 1], [1, 1.25]] and has no
-    # fixed vector there: only the returned columns themselves show it
-    h = np.diag([1.0, 1.0, -1.0])
+    ``tau = [[1, .5], [.5, 1]]`` there gives ``|<e_k, PT e_k>| = 1``, but it
+    squares to ``[[1.25, 1], [1, 1.25]]``, so no basis of the cluster is made
+    of eigenvectors of ``PT``: only the returned columns themselves show it.
+    """
     tau = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(NotPTSymmetricError, match="PT does not act as an involution"):
+    return np.diag([1.0, 1.0, -1.0]), tau
+
+
+def test_check_exactness_refuses_a_pt_that_is_not_an_involution():
+    # T = 2K commutes with a real H and squares to 4: every eigenvector is an
+    # eigenvector of PT, with PT f = 2 f, so the symmetry is exact, with the
+    # columns of T = K
+    h = np.array([[1.0, 2.0], [0.5, -1.0]])
+    doubled = check_exactness(h, np.eye(2), AntilinearOperator(2.0 * np.eye(2)))
+    plain = check_exactness(h, np.eye(2), AntilinearOperator(np.eye(2)))
+    assert doubled.exact and plain.exact
+    assert np.array_equal(doubled.fixed_eigenvectors, plain.fixed_eigenvectors)
+    fixed = doubled.fixed_eigenvectors
+    pt_fixed = 2.0 * np.conj(fixed)  # tau conj(f)
+    npt.assert_allclose(pt_fixed, 2.0 * fixed, rtol=0, atol=1e-15)
+
+    # a cluster on which (PT)^2 is no positive multiple of 1 is refused
+    h, tau = _non_scalar_cluster()
+    with pytest.raises(NotPTSymmetricError, match=r"PT / \|N\| does not act as an involution"):
+        check_exactness(h, np.eye(3), AntilinearOperator(tau))
+    # and so is one on which it is -1: sigma_2 K squares to -1 (Kramers), so
+    # no vector of the cluster is an eigenvector of PT
+    h = np.diag([1.0, 1.0, -1.0])
+    tau = np.zeros((3, 3), dtype=complex)
+    tau[:2, :2], tau[2, 2] = SIGMA2, 1.0
+    with pytest.raises(NotPTSymmetricError, match=r"PT / \|N\| does not act as an involution"):
         check_exactness(h, np.eye(3), AntilinearOperator(tau))
 
     # an involution that is not unitary still fixes its eigenvectors:
@@ -293,14 +379,17 @@ def test_check_exactness_takes_no_condition_number_svd_within_its_budget(monkeyp
     # record's condition number (an SVD) is never read
     h, parity, tau = _handle_case(case)
     spectral = eigendecompose(h)
+    refused, refused_tau = _non_scalar_cluster()
+    refused = eigendecompose(refused)
     reads = []
     cond = np.linalg.cond
     monkeypatch.setattr(np.linalg, "cond", lambda *a, **k: reads.append(1) or cond(*a, **k))
     assert check_exactness(spectral, parity, AntilinearOperator(tau)).exact
+    assert check_exactness(spectral, parity, AntilinearOperator(2.0 * tau)).exact
     assert reads == []
     # a refusal reads it once, for the budget its message states
     with pytest.raises(NotPTSymmetricError, match="exceeds its budget"):
-        check_exactness(spectral, parity, AntilinearOperator(2.0 * tau))
+        check_exactness(refused, np.eye(3), AntilinearOperator(refused_tau))
     assert reads == [1]
 
 
@@ -344,12 +433,9 @@ def test_check_exactness_takes_the_decomposition_of_its_matrix(eig_calls, case):
 def test_check_exactness_refuses_a_record_of_a_matrix_without_the_symmetry(eig_calls):
     h, parity, tau = _handle_case("not-pt")
     spectral = eigendecompose(h)
-    messages = []
-    for hamiltonian in (spectral, h):
-        with pytest.raises(NotPTSymmetricError, match="PT commutator residual") as raised:
-            check_exactness(hamiltonian, parity, AntilinearOperator(tau))
-        messages.append(str(raised.value))
-    assert messages[0] == messages[1]
+    reports = [check_exactness(hamiltonian, parity, AntilinearOperator(tau)) for hamiltonian in (spectral, h)]
+    assert reports[0] == reports[1]
+    assert reports[0].failure_reason == "not_pt_symmetric" and reports[0].pt_residual > PT_RESIDUAL_TOL
     # the matrix is decomposed before the PT gate, the record not again
     assert len(eig_calls) == 2
 
@@ -362,6 +448,103 @@ def test_check_exactness_decides_against_the_tolerance_of_the_record():
     report = check_exactness(eigendecompose(h, reality_rtol=1e-6), np.eye(2), conj)
     assert report.exact
     assert np.array_equal(report.fixed_eigenvectors, [[0.0, 1.0], [1.0, 0.0]])
+
+
+def _scale_cases():
+    """``{name: (H, P, tau)}`` for the scale tests below: each kind of column."""
+    real, parity, tau = _handle_case("real")
+    cluster, _ = next(_degenerate_hamiltonians(np.random.default_rng(5), 1))
+    involution = np.array([[1.0, 40.0], [0.0, -1.0]])
+    return {
+        "real": (real, parity, tau),
+        "2K": (np.array([[1.0, 2.0], [0.5, -1.0]]), np.eye(2), 2.0 * np.eye(2)),
+        "real-cluster": (cluster, np.eye(len(cluster)), np.eye(len(cluster))),
+        "complex-cluster": _handle_case("cluster"),
+        "non-unitary-involution": (0.3 * np.eye(2) + 0.7 * involution, involution, np.eye(2)),
+        "general-t": _handle_case("general-t"),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["real", "2K", "real-cluster", "complex-cluster", "non-unitary-involution", "general-t"]
+)
+def test_check_exactness_does_not_change_with_the_scale_of_p_and_tau(name):
+    # The defect and its budget are homogeneous of degree 0 in P and in tau,
+    # and the columns are normalized at the power-of-two scale of P tau, so
+    # 2^j P and 2^j tau give the same verdict and the same bits.  The
+    # commutator gate is of degree 1 (it is the CLI's --atol), so it is
+    # opened here: near 2^1000 a residual of 1e-16 is past any threshold.
+    h, parity, tau = _scale_cases()[name]
+    spectral = eigendecompose(h)
+    report = check_exactness(spectral, parity, AntilinearOperator(tau), atol=np.inf)
+    assert report.exact
+    bits = report.fixed_eigenvectors.tobytes()
+    for j in (-1000, -1, 1, 1000):
+        for p, t in ((scale_by_power_of_two(parity, j), tau), (parity, scale_by_power_of_two(tau, j))):
+            scaled = check_exactness(spectral, p, AntilinearOperator(t), atol=np.inf)
+            assert scaled.exact and scaled.fixed_eigenvectors.tobytes() == bits
+    # T = c K for any c > 0: the same verdict, and for a real H with a
+    # nondegenerate spectrum under P = 1 the same bits, as N = c |psi|^2 is
+    # real and positive
+    same_bits = name in ("real", "2K")
+    for c in (3.0, 0.1, 1e200, 1e-200):
+        scaled = check_exactness(spectral, parity, AntilinearOperator(c * tau), atol=np.inf)
+        assert scaled.exact
+        assert (scaled.fixed_eigenvectors.tobytes() == bits) or not same_bits
+
+
+def _pt_pairs(rng):
+    """``(H, P, tau)`` with the symmetry exact: clusters, general T, non-unitary P, T = c K."""
+    for h, tau in _degenerate_hamiltonians(rng, 12):
+        yield h, np.eye(len(h)), tau
+    for _ in range(12):
+        base = GeneralFamilyParams(*rng.uniform(-1.0, 1.0, 2), rng.uniform(1.2, 2.0), *rng.uniform(-1.0, 1.0, 2))
+        system = general_t_hamiltonian(base, TimeReversalParams(*rng.uniform(0.0, 2.0 * np.pi, 3)))
+        yield system.hamiltonian, system.parity, rng.uniform(0.1, 10.0) * system.time_reversal.tau
+    for _ in range(12):
+        # P = S diag(+-1) S^-1 is an involution, and H = a + b P commutes with P K
+        d = int(rng.integers(2, 9))
+        s = rng.normal(size=(d, d)) + 2.0 * np.eye(d)
+        parity = s @ np.diag(rng.choice([-1.0, 1.0], d)) @ np.linalg.inv(s)
+        yield rng.normal() * np.eye(d) + rng.normal() * parity, parity, np.eye(d)
+
+
+def test_pt_maps_each_column_to_its_modulus_times_itself_within_the_budget():
+    # PT f = |N| f, N = <f, PT f>, to within the first-order budget stated in
+    # check_exactness: FIXED_POINT_MARGIN (rho + eps) cond(V) (1 + d ||H|| / sep),
+    # with rho the commutator residual relative to ||P tau||_F
+    eps = np.finfo(float).eps
+    for h, parity, tau in _pt_pairs(np.random.default_rng(71)):
+        spectral = eigendecompose(h)
+        time_reversal = AntilinearOperator(tau)
+        report = check_exactness(spectral, parity, time_reversal)
+        assert report.exact
+        lin = parity @ tau
+        size = np.linalg.norm(lin)
+        f = report.fixed_eigenvectors
+        pt_f = lin @ np.conj(f)
+        modulus = np.abs(np.einsum("ij,ij->j", f.conj(), pt_f))
+        defect = np.linalg.norm(pt_f - modulus * f, axis=0).max() / size
+        _, h_over_sep = _degenerate_clusters(spectral)
+        rho = check_pt_symmetry(h, parity, time_reversal) / size
+        budget = FIXED_POINT_MARGIN * (rho + eps) * spectral.eigvec_condition * (1.0 + len(h) * h_over_sep)
+        assert defect <= budget
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_huge_parity_leaves_the_fixed_point_budget_finite():
+    # ||P||_F overflows unless scaled.  The defect and its budget are read at
+    # the power-of-two scale of P tau, so nothing overflows, and the budget
+    # cannot read inf and pass any defect.  H and P share their eigenvectors
+    # (1, +-1) / sqrt(2), with PT f = (1e308 +- 9e307) f.
+    huge = np.array([[1e308, 9e307], [9e307, 1e308]])
+    report = check_exactness([[1.0, 2.0], [2.0, 1.0]], huge, AntilinearOperator(np.eye(2)))
+    assert report.exact and report.pt_residual == 0.0
+    npt.assert_allclose(np.abs(report.fixed_eigenvectors), np.sqrt(0.5), rtol=0, atol=1e-15)
+    # a cluster on which (PT)^2 is not a multiple of 1 is refused at any scale
+    h, tau = _non_scalar_cluster()
+    with pytest.raises(NotPTSymmetricError, match="exceeds its budget"):
+        check_exactness(h, 1e308 * np.eye(3), AntilinearOperator(1e308 * tau))
 
 
 @pytest.mark.parametrize("d", [2, 7, 32])

@@ -27,7 +27,8 @@ from pht.cli import (
     parse_state_document,
     state_document,
 )
-from pht.antilinear import TimeReversalParams
+from pht.antilinear import AntilinearOperator, TimeReversalParams, check_exactness
+from pht.errors import NotPTSymmetricError
 from pht.families import (
     GeneralFamilyParams,
     SymmetricFamilyParams,
@@ -37,6 +38,7 @@ from pht.families import (
     symmetric_hamiltonian,
     symmetric_operators,
 )
+from pht.linalg import eigendecompose
 from pht.metric import verify_pseudo_hermiticity
 
 # Golden values for the family point (0, 1, 2, 0), alpha = pi/6.
@@ -464,6 +466,51 @@ def test_a_huge_well_conditioned_parity_is_not_singular(tmp_path, capsys):
     rc, out, err = run(capsys, ["check-pt", h_path, "--parity", p_path])
     want = {"dim": 2, "pt_residual": 0.0, "pt_symmetric": True, "exact": True, "failure_reason": None}
     assert (rc, out, err) == (EXIT_OK, emitted(want), "")
+
+
+# (H, P, tau) pairs on which the commutator gate passes, fails, or the
+# columns are refused: each kind of verdict check_exactness reaches
+ONE_VERDICT_PAIRS = {
+    "2K": ([[1.0, 2.0], [0.5, -1.0]], np.eye(2), 2.0 * np.eye(2)),
+    "non-unitary-involution": (0.3 * np.eye(2) + 0.7 * np.array([[1.0, 40.0], [0.0, -1.0]]),
+                               [[1.0, 40.0], [0.0, -1.0]], np.eye(2)),
+    "cluster": (np.diag([1.0, 1.0, -1.0]), np.eye(3), np.eye(3)),
+    "broken-family": ([[1.0, 2.0j], [2.0j, -1.0]], np.diag([1.0, -1.0]), np.eye(2)),
+    "jordan": ([[1.0, 1.0], [0.0, 1.0]], np.eye(2), np.eye(2)),
+    "not-pt": (1j * np.array([[1.0, 2.0], [3.0, 4.0]]), np.eye(2), np.eye(2)),
+    "non-scalar-cluster": (np.diag([1.0, 1.0, -1.0]), np.eye(3),
+                           [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    # PT = 0 maps every eigenvector to 0 psi, and P tau has no norm to divide by
+    "zero-tau": ([[1.0, 2.0], [0.5, -1.0]], np.eye(2), np.zeros((2, 2))),
+    "zero-tau-cluster": (np.diag([1.0, 1.0, -1.0]), np.eye(3), np.zeros((3, 3))),
+    # a residual below --atol that is 1.17 relative to ||P tau||_F
+    "tiny-tau": ([[1.0, 2.0], [0.5, -1.0]], np.diag([1.0, -1.0]), 1e-12 * np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_VERDICT_PAIRS))
+def test_analyze_and_check_pt_print_the_verdict_of_check_exactness(tmp_path, capsys, name):
+    h, parity, tau = ONE_VERDICT_PAIRS[name]
+    h_path = write_matrix(tmp_path, "h.json", h)
+    flags = ["--parity", write_matrix(tmp_path, "p.json", parity), "--tau", write_matrix(tmp_path, "t.json", tau)]
+    try:
+        report = check_exactness(eigendecompose(h), parity, AntilinearOperator(tau))
+    except NotPTSymmetricError as exc:
+        for command in ("check-pt", "analyze"):
+            assert run(capsys, [command, h_path, *flags]) == (EXIT_SYMMETRY, "", f"error: NotPTSymmetricError: {exc}\n")
+        return
+    pt_symmetric = report.failure_reason != "not_pt_symmetric"
+    rc, out, err = run(capsys, ["check-pt", h_path, *flags])
+    want = {"dim": len(h), "pt_residual": report.pt_residual, "pt_symmetric": pt_symmetric,
+            "exact": report.exact if pt_symmetric else None,
+            "failure_reason": report.failure_reason if pt_symmetric else None}
+    assert (rc, out, err) == (EXIT_OK, emitted(want), "")
+    rc, out, err = run(capsys, ["analyze", h_path, *flags])
+    assert (rc, err) == (EXIT_OK, "")
+    got = json.loads(out)
+    assert (got["pt_residual"], got["pt_symmetric"], got["exact"], got["failure_reason"]) == (
+        report.pt_residual, pt_symmetric, report.exact, report.failure_reason
+    )
 
 
 def test_non_finite_result_exits_2_without_output(tmp_path, capsys):

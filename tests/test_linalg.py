@@ -522,8 +522,8 @@ def _general_formula_record(matrix, rtol):
 
     The real copy of a real-valued matrix is copied again, the spectrum is
     sorted by ``lexsort`` on ``(-Im w, -Re w)``, every eigenvalue is held
-    to ``|Im w| <= rtol (1 + |w|)`` after the cast to complex, and the SVD
-    decides the near-defective verdict.
+    to be no NaN and ``Im w = 0`` or ``|Im w| <= rtol (1 + |w|)`` after the
+    cast to complex, and the SVD decides the near-defective verdict.
     """
     m = _real_if_real(as_square_matrix(matrix)).copy()
     w, v = np.linalg.eig(m)
@@ -536,7 +536,7 @@ def _general_formula_record(matrix, rtol):
     near_defective = not np.linalg.cond(v) <= EIGVEC_CONDITION_LIMIT
     w, v = w.astype(complex), v.astype(complex)
     with np.errstate(invalid="ignore"):
-        real = np.all(np.abs(w.imag) <= rtol * (1.0 + np.abs(w)))
+        real = np.all(~np.isnan(w) & ((w.imag == 0.0) | (np.abs(w.imag) <= rtol * (1.0 + np.abs(w)))))
     if near_defective:
         cls = SpectrumClass.NEAR_DEFECTIVE
     else:
@@ -564,7 +564,7 @@ def _record_cases():
         "upper-1e308": [[1e308, 1e308j], [0.0, -1e308]],
         "rotation-1e308": [[1e308, 1e308], [-1e308, 1e308]],
         "upper-1.6e308": [[8e307, 1.2e308], [0.0, 1.6e308]],
-        # eig overflows one eigenvalue to inf: a real spectrum, which rtol = 0 refuses
+        # eig overflows one eigenvalue to inf: a real spectrum under any rtol
         "ones-1e308": [[1e308, 1e308], [1e308, 1e308]],
     }
 
@@ -586,6 +586,38 @@ def test_eigendecompose_matches_the_general_formulas(name, rtol):
         assert np.array_equal(record.eigenvectors_inv, v_inv, equal_nan=True)
     assert np.array_equal(record.matrix, m) and record.matrix.dtype == m.dtype
     assert not np.shares_memory(record.matrix, matrix)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_eigenvalue_with_no_imaginary_part_is_real_under_any_tolerance():
+    # eig of this matrix returns the real [inf, 2.2e292]; rtol (1 + |w|) is
+    # NaN for the infinite one under rtol = 0, and no bound is formed
+    ones = np.array([[1e308, 1e308], [1e308, 1e308]])
+    for rtol in (0.0, REALITY_RTOL):
+        assert eigendecompose(ones, rtol).classification is SpectrumClass.REAL_DIAGONALIZABLE
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_a_nan_eigenvalue_lands_on_near_defective(monkeypatch, dtype):
+    # eig leaves a NaN in an eigenvalue and in its eigenvector together; the
+    # near-defective verdict comes first, and reads the condition number of a
+    # NaN column as NaN (its SVD would not converge)
+    w = np.array([np.nan, 1.0], dtype=dtype)
+    v = np.array([[np.nan, 0.0], [np.nan, 1.0]], dtype=dtype)
+    monkeypatch.setattr(np.linalg, "eig", lambda m: (w.copy(), v.copy()))
+    record = eigendecompose(np.eye(2))
+    assert record.classification is SpectrumClass.NEAR_DEFECTIVE
+    assert np.isnan(record.eigvec_condition)
+
+
+@pytest.mark.parametrize("w", [[np.nan, 1.0], [np.nan + 0j, 1.0], [complex(1.0, np.nan), 1.0]], ids=str)
+def test_a_nan_eigenvalue_is_never_real(monkeypatch, w):
+    # Im w of a real-typed NaN, or of nan + 0j, is exactly 0; the NaN itself
+    # refuses the real class, whatever its (here finite) eigenvector holds
+    w = np.array(w)
+    monkeypatch.setattr(np.linalg, "eig", lambda m: (w.copy(), np.eye(2, dtype=w.dtype)))
+    for rtol in (0.0, REALITY_RTOL, 1e300):
+        assert eigendecompose(np.eye(2), rtol).classification is SpectrumClass.CONJUGATE_PAIRS
 
 
 def test_frobenius_norm_is_numpys_bit_for_bit_and_reports_no_overflow():

@@ -18,6 +18,6 @@ def test_src_lines_sums_modules_and_lists_the_cli_private_imports():
     (package,) = [(int(m[2]), int(m[3])) for m in counts if m and not m[1]]
     assert len(modules) == len(list((ROOT / "src" / "pht").glob("*.py")))
     assert package == tuple(map(sum, zip(*modules)))
-    # the three that ROADMAP aim 2 gives a reason for, and no other
-    cli = "src/pht/cli.py imports 3 private names _exactness_failure _general_t_system _positive_metric"
+    # the two that ROADMAP aim 2 gives a reason for, and no other
+    cli = "src/pht/cli.py imports 2 private names _general_t_system _positive_metric"
     assert [line for line in run.stdout.splitlines() if line.startswith("src/pht/cli.py imports")] == [cli]
