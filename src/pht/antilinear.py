@@ -19,7 +19,6 @@ from .linalg import (
     SIGMA3,
     SpectralData,
     SpectrumClass,
-    _degenerate_clusters,
     _frobenius_norm,
     _norm_in_range,
     _pauli_exp,
@@ -90,11 +89,17 @@ def is_hermitian_antilinear_involution(operator: AntilinearOperator) -> Involuti
 
     Both must hold for the antilinear map to be Hermitian and square to
     ``+1``.  A unitary but antisymmetric ``tau`` (e.g. ``sigma_2``) gives
-    ``T^2 = -1`` and fails the first test.
+    ``T^2 = -1`` and fails the first test.  A ``tau`` so large that
+    ``tau^dagger tau`` overflows fails the second with an infinite
+    ``unitarity_residual``, and no warning.
     """
     tau = operator.tau
     sym = _relative_residual(tau, lambda t: t.T - t)
-    uni = float(np.linalg.norm(tau.conj().T @ tau - np.eye(operator.dim)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        uni = _frobenius_norm(tau.conj().T @ tau - np.eye(operator.dim))
+    # tau is finite, so a NaN is an overflowed tau^dagger tau (inf * 0 in a
+    # complex product): a residual beyond the double range, as inf is
+    uni = math.inf if math.isnan(uni) else uni
     return InvolutionCheck(sym <= INVOLUTION_ATOL and uni <= INVOLUTION_ATOL, sym, uni)
 
 
@@ -165,8 +170,9 @@ def _pt_residual(measured, parity, time_reversal: AntilinearOperator) -> tuple[f
     """``(residual, scaled, P tau)``: :func:`check_pt_symmetry` for ``H`` as ``_norm_in_range`` measured it.
 
     The one body of the PT gate, shared by :func:`check_pt_symmetry` and
-    :func:`check_exactness`, so that the latter measures ``H`` once and forms
-    ``P tau`` once.  ``P tau`` is returned at the power-of-two scale that
+    :func:`check_exactness`.  The latter passes its record's ``_measured``,
+    the measurement of ``H`` that the record takes once for every gate, and
+    forms ``P tau`` once.  ``P tau`` is returned at the power-of-two scale that
     ``_norm_in_range`` gave ``P`` and ``tau``, real when both are real-valued.
     ``scaled`` is the residual of that ``P tau``, and ``residual`` is
     ``scaled`` scaled back by those powers (the powers of two are exact).
@@ -263,10 +269,14 @@ def check_exactness(
     ``hamiltonian`` is a square matrix or its :func:`eigendecompose` record,
     which is used as it is: the spectrum is then real to within the record's
     ``reality_rtol``, and no second ``eig`` is made.  A matrix is decomposed
-    first, and the ``PT`` gate reads the record's matrix either way; that
-    matrix is measured once and ``P tau`` formed once for the gate, the
-    clusters and the eigenvectors, in real arithmetic where all are real.
-    ``P tau`` stays at the power-of-two scale that the gate gave it.
+    first, and the ``PT`` gate reads the record's matrix either way.  The
+    gate, the clusters and the spectrum class are the record's own:
+    ``_measured``, its one measurement of the matrix (which
+    :func:`~pht.linalg.biorthonormalize` reads too), ``_clusters`` and
+    ``classification``, each taken on first read, so a pair that fails the
+    gate never classifies the record.  ``P tau`` is formed once for the
+    gate and the eigenvectors, in real arithmetic where all are real, and
+    stays at the power-of-two scale that the gate gave it.
 
     Every returned column ``f`` is checked.  Its defect is
     ``|PT f - |N| f| / ||P tau||_F``: for a nondegenerate eigenvector, the
@@ -278,11 +288,11 @@ def check_exactness(
     ``||P tau||_F`` and ``eps`` the rounding of ``eig``; to first order that
     moves an eigenvector by at most ``||E|| ||V^-1|| sum_m 1 / |w_n - w_m|``,
     where ``||V^-1|| <= cond(V)`` for unit columns and the sum is at most
-    ``d / sep``, ``sep`` the smallest gap between clusters, which the routine
-    that finds them measures too.  That changes the defect by at most about
-    three times as much.  Forming ``PT f`` rounds by about ``eps`` relative to
-    ``||P tau||_F``, which a cluster's basis amplifies by at most ``cond(V)``.
-    The budget is therefore
+    ``d / sep``, ``sep`` the smallest gap between clusters, which the
+    record's ``_clusters`` measures with them.  That changes the defect by at
+    most about three times as much.  Forming ``PT f`` rounds by about
+    ``eps`` relative to ``||P tau||_F``, which a cluster's basis amplifies by
+    at most ``cond(V)``.  The budget is therefore
     ``FIXED_POINT_MARGIN (rho + eps) cond(V) (1 + d ||H||_F / sep)``, a
     first-order estimate that holds only while it is small, which the gate's
     second part ensures at ``cond(V) = 1``.
@@ -292,6 +302,8 @@ def check_exactness(
 
     Raises
     ------
+    ValueError
+        If ``atol`` is NaN or negative, checked before any other work.
     SingularParityError
         If ``parity`` is numerically singular.
     NotPTSymmetricError
@@ -299,9 +311,10 @@ def check_exactness(
         acts on a degenerate cluster as no multiple ``mu >= 0`` of the
         identity.
     """
+    if not atol >= 0:
+        raise ValueError(f"atol must be >= 0, got {atol!r}")
     spectral = hamiltonian if isinstance(hamiltonian, SpectralData) else eigendecompose(hamiltonian)
-    measured = _norm_in_range(spectral.matrix)
-    residual, scaled, lin = _pt_residual(measured, parity, time_reversal)
+    residual, scaled, lin = _pt_residual(spectral._measured, parity, time_reversal)
     # a zero tau maps every vector to 0 = 0 f, with no residual to relate
     size = _frobenius_norm(lin) or 1.0
     rate = FIXED_POINT_MARGIN * (scaled / size + np.finfo(float).eps)
@@ -311,7 +324,7 @@ def check_exactness(
         return ExactnessReport(False, None, "not_diagonalizable", residual)
     if spectral.classification is SpectrumClass.CONJUGATE_PAIRS:
         return ExactnessReport(False, None, "complex_eigenvalues", residual)
-    clusters, h_over_sep = _degenerate_clusters(spectral, measured)
+    clusters, h_over_sep = spectral._clusters
     spread = 1.0 + len(spectral.eigenvalues) * h_over_sep
     if not rate * spread < 1.0:
         return ExactnessReport(False, None, "not_pt_symmetric", residual)

@@ -196,7 +196,12 @@ def _require_nonsingular(matrix: np.ndarray, error: type[PHTError], name: str) -
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigendecomposition of a (generally non-normal) square matrix.
+    """Eigendecomposition of a (generally non-normal) square matrix, and what it decides.
+
+    Only :func:`eigendecompose` constructs one.  The record decides every
+    verdict about its spectrum itself: each derived quantity below is
+    computed on its first read and then cached, so a caller that reads none
+    of them pays for none, and callers that share a record share each one.
 
     Attributes
     ----------
@@ -207,39 +212,97 @@ class SpectralData:
         unit Euclidean norm.
     eigenvectors_inv : ndarray or None
         The inverse of ``eigenvectors``, computed once and used by every
-        later step that needs it: the dual basis of :func:`biorthonormalize`
-        and the coefficients of an evolution.  Real, and computed in real
-        arithmetic, when the eigenvectors are real (a real matrix with a real
-        spectrum), complex otherwise.  None when ``eigenvectors`` is exactly
-        singular, which only a ``NEAR_DEFECTIVE`` record can be.
-    classification : SpectrumClass
-        ``REAL_DIAGONALIZABLE``, ``CONJUGATE_PAIRS`` (complex eigenvalues
-        present) or ``NEAR_DEFECTIVE``.
+        later step that needs it: the near-defective verdict, the dual basis
+        of :func:`biorthonormalize` and the coefficients of an evolution.
+        Real, and computed in real arithmetic, when the eigenvectors are real
+        (a real matrix with a real spectrum), complex otherwise.  None when
+        ``eigenvectors`` is exactly singular, which only a ``NEAR_DEFECTIVE``
+        record can be.
     reality_rtol : float
-        The relative tolerance that decided ``classification``: an eigenvalue
-        ``w`` counts as real when it is not NaN and ``Im w = 0`` or
-        ``|Im w| <= reality_rtol * (1 + |w|)``.
+        The relative tolerance of ``classification``'s reality test.
     matrix : ndarray
         A copy of the matrix as it was decomposed: real when no imaginary
         part is nonzero, complex otherwise.  It and the three arrays above
         are read-only, so the record can stand in for its matrix.
+    classification : SpectrumClass
+        ``REAL_DIAGONALIZABLE``, ``CONJUGATE_PAIRS`` (complex eigenvalues
+        present) or ``NEAR_DEFECTIVE`` (a property, decided on first read).
     eigvec_condition : float
         Two-norm condition number of the eigenvector matrix (a property): one
-        SVD, taken on the first read unless :func:`eigendecompose` needed it
-        to classify, and then cached.
+        SVD on first read, or the one ``classification`` took.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     eigenvectors_inv: np.ndarray | None
-    classification: SpectrumClass
     reality_rtol: float
     matrix: np.ndarray
 
     @cached_property
+    def classification(self) -> SpectrumClass:
+        """The spectrum class.  Near-defective takes precedence over the reality test.
+
+        The matrix is near-defective when ``eigvec_condition`` is above
+        ``EIGVEC_CONDITION_LIMIT`` (or infinite or NaN).  Wherever a bound of
+        :func:`_condition_bounds` clears the limit, that bound gives the SVD's
+        verdict without the SVD; between the bounds, or for a singular
+        eigenvector matrix, ``eigvec_condition`` decides.  Otherwise the
+        spectrum is real when every eigenvalue is, by ``_reality_bounds``:
+        a NaN ``w`` is never real, and ``Im w = 0`` is real under any
+        tolerance, so a spectrum with no imaginary part needs no bound (an
+        infinite ``w`` under ``reality_rtol = 0`` included).
+        """
+        v_inv = self.eigenvectors_inv
+        lo, hi = (math.nan, math.nan) if v_inv is None else _condition_bounds(v_inv)
+        if lo > EIGVEC_CONDITION_LIMIT or not (
+            hi <= EIGVEC_CONDITION_LIMIT or self.eigvec_condition <= EIGVEC_CONDITION_LIMIT
+        ):
+            return SpectrumClass.NEAR_DEFECTIVE
+        w = self.eigenvalues
+        if not np.isnan(w).any() and (
+            not np.count_nonzero(w.imag) or np.all((w.imag == 0.0) | (np.abs(w.imag) <= self._reality_bounds))
+        ):
+            return SpectrumClass.REAL_DIAGONALIZABLE
+        return SpectrumClass.CONJUGATE_PAIRS
+
+    @cached_property
     def eigvec_condition(self) -> float:
-        """``cond_2`` of the eigenvectors, in real arithmetic when they are real."""
-        return float(np.linalg.cond(_real_if_real(self.eigenvectors)))
+        """``cond_2`` of the eigenvectors, in real arithmetic when they are real.
+
+        A non-finite eigenvector matrix reads NaN without an SVD, which would
+        not converge.
+        """
+        v = self.eigenvectors
+        return float(np.linalg.cond(_real_if_real(v))) if _all_finite(v) else math.nan
+
+    @cached_property
+    def _reality_bounds(self) -> np.ndarray:
+        """``reality_rtol * (1 + |w|)``: an eigenvalue ``w`` with ``|Im w|`` at most its bound is real."""
+        return self.reality_rtol * (1.0 + np.abs(self.eigenvalues))
+
+    @cached_property
+    def _measured(self) -> tuple[np.ndarray, float, int]:
+        """:func:`_norm_in_range` of ``matrix``: the one measurement of ``H`` that every gate reads."""
+        return _norm_in_range(self.matrix)
+
+    @cached_property
+    def _clusters(self) -> tuple[list[list[int]], float]:
+        """``(clusters, ||H||_F / sep)`` of the (sorted) real parts of the eigenvalues.
+
+        Neighbours join a cluster when their gap is at most
+        ``DEGENERATE_GAP_RTOL * ||matrix||_F``; both sides are scaled by the
+        power of two of ``_measured``, so the norm cannot overflow to ``inf``
+        and merge every eigenvalue.  ``sep`` is the smallest gap between
+        neighbouring clusters, taken on the same scaled values, so the ratio
+        does not change with the scale of ``H``; it is 0 for a single cluster.
+        """
+        _, scale, e = self._measured
+        x = np.ldexp(self.eigenvalues.real, -e) if e else self.eigenvalues.real
+        steps = np.abs(x[1:] - x[:-1])
+        split = steps > DEGENERATE_GAP_RTOL * scale
+        bounds = [0, *(split.nonzero()[0] + 1).tolist(), len(x)]
+        clusters = [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+        return clusters, scale / steps.min(where=split, initial=np.inf)
 
 
 # Relative margin per dimension by which _condition_bounds widens its bounds:
@@ -276,26 +339,20 @@ def _condition_bounds(v_inv: np.ndarray) -> tuple[float, float]:
 
 
 def eigendecompose(matrix, reality_rtol: float = REALITY_RTOL) -> SpectralData:
-    """Eigendecompose ``matrix`` and classify its spectrum.
+    """Eigendecompose ``matrix`` into the record that decides its verdicts.
 
-    An eigenvalue ``w`` counts as real when ``Im w = 0`` or
-    ``|Im w| <= rtol * (1 + |w|)``; the first holds under any tolerance, an
-    infinite ``w`` under ``rtol = 0`` included, and a NaN ``w`` is never
-    real, whatever its eigenvector holds.  The matrix is flagged
-    near-defective when the eigenvector matrix has condition number above
-    ``EIGVEC_CONDITION_LIMIT`` (or an infinite or NaN one: a non-finite
-    eigenvector matrix reads NaN without an SVD, which would not converge);
-    that verdict takes precedence over the reality classification.
-    The eigenvectors are inverted once, and the inverse decides the verdict
-    wherever its bounds (:func:`_condition_bounds`) clear the limit, so an
-    SVD is taken only near the limit or for a singular eigenvector matrix.
-    ``reality_rtol`` must be ``>= 0``; anything else raises ``ValueError``.
+    This only decomposes: it validates and copies ``matrix``, runs ``eig``,
+    sorts, inverts the eigenvector matrix once and freezes the arrays.  The
+    spectrum's class, its condition number, the measurement of the matrix
+    and its degenerate clusters are decided by the returned
+    :class:`SpectralData` itself, each on first read (its ``classification``
+    states the rule).  ``reality_rtol`` must be ``>= 0``; anything else
+    raises ``ValueError``.
 
     A real-valued matrix is copied once, as the real copy that is decomposed
     and kept; a complex one is copied as it is.  ``eig`` of a real matrix
     returns a real ``w`` only when every ``Im w`` is exactly 0: such a
-    spectrum is sorted by one stable ``argsort``, and it is real with no
-    bound to test unless it holds a NaN.
+    spectrum is sorted by one stable ``argsort``.
     """
     if not reality_rtol >= 0:
         raise ValueError(f"reality_rtol must be >= 0, got {reality_rtol!r}")
@@ -304,39 +361,17 @@ def eigendecompose(matrix, reality_rtol: float = REALITY_RTOL) -> SpectralData:
         # a real-valued matrix is already the fresh copy of its real part
         m = m.copy()
     w, v = np.linalg.eig(m)
-    real_spectrum = w.dtype.kind == "f"
-    order = np.argsort(-w, kind="stable") if real_spectrum else np.lexsort((-w.imag, -w.real))
+    order = np.argsort(-w, kind="stable") if w.dtype.kind == "f" else np.lexsort((-w.imag, -w.real))
     w, v = w[order], v[:, order]
     try:
         v_inv = np.linalg.inv(v)
-        lo, hi = _condition_bounds(v_inv)
     except np.linalg.LinAlgError:
-        v_inv, lo, hi = None, math.nan, math.nan
-    # A bound that clears the limit gives the SVD's verdict; between the
-    # bounds, or for a singular v (NaN bounds), the SVD decides.
-    if lo > EIGVEC_CONDITION_LIMIT or hi <= EIGVEC_CONDITION_LIMIT:
-        near_defective, cond = lo > EIGVEC_CONDITION_LIMIT, None
-    else:
-        # the SVD of a non-finite v would not converge
-        cond = float(np.linalg.cond(v)) if _all_finite(v) else math.nan
-        near_defective = not cond <= EIGVEC_CONDITION_LIMIT
-    if near_defective:
-        cls = SpectrumClass.NEAR_DEFECTIVE
-    elif not np.isnan(w).any() and (
-        real_spectrum or np.all((w.imag == 0.0) | (np.abs(w.imag) <= reality_rtol * (1.0 + np.abs(w))))
-    ):
-        cls = SpectrumClass.REAL_DIAGONALIZABLE
-    else:
-        cls = SpectrumClass.CONJUGATE_PAIRS
+        v_inv = None
     w, v = w.astype(complex, copy=False), v.astype(complex, copy=False)
     for array in (w, v, v_inv, m):
         if array is not None:
             array.setflags(write=False)
-    record = SpectralData(w, v, v_inv, cls, reality_rtol, m)
-    if cond is not None:
-        # the SVD that classified is the condition number; a later read reuses it
-        object.__setattr__(record, "eigvec_condition", cond)
-    return record
+    return SpectralData(w, v, v_inv, reality_rtol, m)
 
 
 @dataclass(frozen=True)
@@ -369,32 +404,6 @@ def _alternating_signs(n: int) -> np.ndarray:
     return signs
 
 
-def _degenerate_clusters(spectral: SpectralData, measured=None) -> tuple[list[list[int]], float]:
-    """``(clusters, ||H||_F / sep)`` of ``spectral``'s (sorted) real eigenvalues.
-
-    Neighbours join a cluster when their gap is at most
-    ``DEGENERATE_GAP_RTOL * ||spectral.matrix||_F``; both sides are scaled by
-    the power of two of :func:`_norm_in_range`, so the norm cannot overflow to
-    ``inf`` and merge every eigenvalue.  ``sep`` is the smallest gap between
-    neighbouring clusters, taken on the same scaled values, so the ratio does
-    not change with the scale of ``H``; it is 0 for a single cluster.
-    ``measured`` is ``_norm_in_range(spectral.matrix)`` when the caller has
-    taken it already.
-    """
-    _, scale, e = _norm_in_range(spectral.matrix) if measured is None else measured
-    x = spectral.eigenvalues.real
-    if e:
-        x = np.ldexp(x, -e)
-    steps = np.abs(x[1:] - x[:-1])
-    split = steps > DEGENERATE_GAP_RTOL * scale
-    if np.count_nonzero(split) == split.size:
-        # every eigenvalue its own cluster: every gap separates two
-        return [[k] for k in range(len(x))], scale / steps.min(initial=np.inf)
-    bounds = [0, *(np.flatnonzero(split) + 1).tolist(), len(x)]
-    clusters = [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
-    return clusters, scale / steps[split].min(initial=np.inf)
-
-
 def biorthonormalize(matrix, *, normalization: str = "unit") -> BiorthonormalSystem:
     """Build a biorthonormal eigensystem for a diagonalizable real-spectrum matrix.
 
@@ -404,7 +413,9 @@ def biorthonormalize(matrix, *, normalization: str = "unit") -> BiorthonormalSys
         Square matrix, diagonalizable with real spectrum, or its
         :func:`eigendecompose` record, which is used as it is: the spectrum
         is then decided against that record's ``reality_rtol``, and callers
-        that try both conventions decompose once.
+        that try both conventions, or go on to
+        :func:`~pht.antilinear.check_exactness`, decompose, measure the
+        matrix and find its clusters once.
     normalization : {"unit", "transpose"}
         ``"unit"`` keeps each ``psi_n`` at unit Euclidean norm with its
         largest-modulus entry rotated to the positive real axis, and takes
@@ -433,10 +444,8 @@ def biorthonormalize(matrix, *, normalization: str = "unit") -> BiorthonormalSys
     if normalization not in ("unit", "transpose"):
         raise ValueError(f"unknown normalization {normalization!r}")
     spectral = matrix if isinstance(matrix, SpectralData) else eigendecompose(matrix)
-    # the transpose gate and the clusters share one measurement of the matrix
-    measured = _norm_in_range(spectral.matrix) if normalization == "transpose" else None
-    if measured is not None:
-        m, norm, _ = measured
+    if normalization == "transpose":
+        m, norm, _ = spectral._measured
         if not _relative_residual(m, lambda a: a - a.T, norm) <= HERMITICITY_RTOL:
             raise ValueError("transpose normalization requires a complex symmetric matrix")
     if spectral.classification is SpectrumClass.NEAR_DEFECTIVE:
@@ -445,8 +454,7 @@ def biorthonormalize(matrix, *, normalization: str = "unit") -> BiorthonormalSys
             f"exceeds {EIGVEC_CONDITION_LIMIT:.1e}"
         )
     if spectral.classification is SpectrumClass.CONJUGATE_PAIRS:
-        w = spectral.eigenvalues
-        bound = spectral.reality_rtol * (1.0 + np.abs(w))
+        w, bound = spectral.eigenvalues, spectral._reality_bounds
         k = int(np.argmax(np.abs(w.imag) - bound))
         raise ComplexSpectrumError(
             f"matrix has complex eigenvalues; |Im w| = {abs(w[k].imag):.3e} exceeds its "
@@ -455,7 +463,7 @@ def biorthonormalize(matrix, *, normalization: str = "unit") -> BiorthonormalSys
 
     w = spectral.eigenvalues.real.copy()
     v = spectral.eigenvectors.copy()
-    clusters, _ = _degenerate_clusters(spectral, measured)
+    clusters, _ = spectral._clusters
 
     if normalization == "unit":
         # The dual basis is the record's V^-1, changed as V is: no inverse here.

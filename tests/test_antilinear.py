@@ -1,4 +1,6 @@
 """Antilinear operators, generalized time reversal, and exactness checks."""
+import functools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -30,7 +32,15 @@ from pht.families import (
     parity_from_angle,
     symmetric_hamiltonian,
 )
-from pht.linalg import EIGVEC_CONDITION_LIMIT, SIGMA2, SIGMA3, _degenerate_clusters, eigendecompose
+from pht.linalg import (
+    EIGVEC_CONDITION_LIMIT,
+    SIGMA2,
+    SIGMA3,
+    SpectralData,
+    _condition_bounds,
+    biorthonormalize,
+    eigendecompose,
+)
 
 from conftest import integer_grid_matrices, random_exact_symmetric_params, scale_by_power_of_two
 
@@ -81,6 +91,18 @@ def test_nonunitary_symmetric_rejected():
     assert not check.passed
     assert check.symmetry_residual < 1e-15
     assert check.unitarity_residual > 1.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e200, 1e200j, 1e-200])
+def test_an_involution_far_from_unit_scale_fails_without_a_warning(scale):
+    # tau^dagger tau overflows (a complex product gives inf * 0 = NaN), or
+    # underflows to 0 and leaves the residual ||-1||_F
+    for tau in (scale * np.eye(2), scale * np.array([[0.6, 0.8j], [0.8j, 0.6]])):
+        check = is_hermitian_antilinear_involution(AntilinearOperator(tau))
+        assert not check.passed
+        assert check.symmetry_residual < 1e-15
+        assert check.unitarity_residual == (np.inf if abs(scale) > 1.0 else np.sqrt(2.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -393,6 +415,33 @@ def test_check_exactness_takes_no_condition_number_svd_within_its_budget(monkeyp
     assert reads == [1]
 
 
+@pytest.mark.parametrize("atol", [np.nan, -1.0, -np.inf])
+def test_check_exactness_refuses_an_atol_that_is_nan_or_negative(eig_calls, atol):
+    # such an atol would pass no residual, and call a symmetric pair not PT-symmetric
+    with pytest.raises(ValueError, match=f"atol must be >= 0, got {atol!r}"):
+        check_exactness([[1.0, 2.0], [0.5, -1.0]], np.eye(2), AntilinearOperator(np.eye(2)), atol=atol)
+    assert eig_calls == []
+    report = check_exactness([[1.0, 2.0], [0.5, -1.0]], np.eye(2), AntilinearOperator(np.eye(2)), atol=0.0)
+    assert report.exact and report.pt_residual == 0.0
+
+
+def test_a_pair_that_fails_the_gate_never_classifies_its_record(monkeypatch):
+    # max kappa_i and ||V||_F ||V^-1||_F straddle the limit here, so the
+    # classification would need an SVD; sigma_3 does not commute with H
+    spectral = eigendecompose([[1.0, 1.0], [2.0**-54, 1.0]])
+    lo, hi = _condition_bounds(spectral.eigenvectors_inv)
+    assert lo <= EIGVEC_CONDITION_LIMIT < hi
+    reads = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda *a, **k: reads.append(1) or cond(*a, **k))
+    report = check_exactness(spectral, SIGMA3, AntilinearOperator(np.eye(2)))
+    assert report.failure_reason == "not_pt_symmetric"
+    assert reads == []
+    assert "classification" not in vars(spectral) and "_clusters" not in vars(spectral)
+    # read now, the verdict takes its SVD
+    assert spectral.classification.value == "near-defective" and reads == [1]
+
+
 def _handle_case(case):
     """``(H, P, tau)`` for the record-versus-matrix comparison below."""
     rng = np.random.default_rng(61)
@@ -525,7 +574,7 @@ def test_pt_maps_each_column_to_its_modulus_times_itself_within_the_budget():
         pt_f = lin @ np.conj(f)
         modulus = np.abs(np.einsum("ij,ij->j", f.conj(), pt_f))
         defect = np.linalg.norm(pt_f - modulus * f, axis=0).max() / size
-        _, h_over_sep = _degenerate_clusters(spectral)
+        _, h_over_sep = spectral._clusters
         rho = check_pt_symmetry(h, parity, time_reversal) / size
         budget = FIXED_POINT_MARGIN * (rho + eps) * spectral.eigvec_condition * (1.0 + len(h) * h_over_sep)
         assert defect <= budget
@@ -581,20 +630,30 @@ def test_real_pt_gate_matches_complex_arithmetic(d):
 
 
 def test_check_exactness_measures_h_once(monkeypatch):
-    # one scaling measurement of H serves the PT gate and the clusters
+    # one scaling measurement of H and one cluster scan serve every reader of
+    # the record, in the CLI's order: the transpose convention (which refuses
+    # the degenerate spectrum after its gates), the unit one, the PT check
     from pht import antilinear, linalg
 
     h = np.diag([2.0, 1.0, 1.0, -1.0])
     spectral = eigendecompose(h)
-    measured = []
+    measured, scans = [], []
     norm_in_range = linalg._norm_in_range
 
     def counting(m):
         measured.append(m is spectral.matrix)
         return norm_in_range(m)
 
+    scan = SpectralData.__dict__["_clusters"].func
+    counting_scan = functools.cached_property(lambda self: scans.append(1) or scan(self))
+    counting_scan.__set_name__(SpectralData, "_clusters")
     monkeypatch.setattr(antilinear, "_norm_in_range", counting)
     monkeypatch.setattr(linalg, "_norm_in_range", counting)
+    monkeypatch.setattr(SpectralData, "_clusters", counting_scan)
+    with pytest.raises(ValueError, match="nondegenerate spectrum"):
+        biorthonormalize(spectral, normalization="transpose")
+    assert measured == [True] and scans == [1]
+    biorthonormalize(spectral)
     assert check_exactness(spectral, np.eye(4), AntilinearOperator(np.eye(4))).exact
-    # H once, then P in the singularity gate and tau
-    assert measured == [True, False, False]
+    # H once, then P in the singularity gate and tau; the clusters once
+    assert measured == [True, False, False] and scans == [1]

@@ -24,7 +24,6 @@ from pht.linalg import (
     SIGMA3,
     SpectrumClass,
     _condition_bounds,
-    _degenerate_clusters,
     _frobenius_norm,
     _norm_in_range,
     _pauli_exp,
@@ -195,7 +194,7 @@ def test_exact_cluster_with_an_ill_conditioned_raw_basis():
         w = np.concatenate([np.ones(k), rng.uniform(-3.0, -0.5, d - k)])
         spectral = eigendecompose(s @ np.diag(w) @ np.linalg.inv(s))
         assert spectral.classification is SpectrumClass.REAL_DIAGONALIZABLE
-        assert _degenerate_clusters(spectral)[0][0] == list(range(k))
+        assert spectral._clusters[0][0] == list(range(k))
         residual = biorthonormalize(spectral).completeness_residual()
         assert residual <= 4 * d * eps * spectral.eigvec_condition
         ratios.append(spectral.eigvec_condition / np.linalg.cond(s))
@@ -305,13 +304,13 @@ def test_a_well_conditioned_decomposition_takes_no_svd_and_its_dual_basis_no_inv
     "h", [np.array([[5.0]]), 2.0 * np.eye(3), np.zeros((3, 3))], ids=["d1", "one-cluster", "zero"]
 )
 def test_one_cluster_has_no_separation_ratio(h):
-    assert _degenerate_clusters(eigendecompose(h)) == ([list(range(h.shape[0]))], 0.0)
+    assert eigendecompose(h)._clusters == ([list(range(h.shape[0]))], 0.0)
 
 
 @pytest.mark.parametrize("j", [0, 600, -600])
 def test_separation_ratio_is_the_norm_over_the_smallest_cluster_gap(j):
     # gaps 2 and 3 between the clusters {3}, {1, 1}, {-2}; ||H||_F = sqrt(15)
-    clusters, ratio = _degenerate_clusters(eigendecompose(np.ldexp(np.diag([3.0, 1.0, 1.0, -2.0]), j)))
+    clusters, ratio = eigendecompose(np.ldexp(np.diag([3.0, 1.0, 1.0, -2.0]), j))._clusters
     assert clusters == [[0], [1, 2], [3]]
     assert ratio == np.sqrt(15.0) / 2.0
 
@@ -322,6 +321,26 @@ def test_biorthonormalize_rejects_complex_spectrum():
     # the reported eigenvalue is the one past its own bound, not the largest |Im w|
     with pytest.raises(ComplexSpectrumError, match=r"1\.000e-03 exceeds"):
         biorthonormalize(np.diag([1e12 + 1e2j, 1.0 + 1e-3j]))
+    # the bound quoted is the one that classified, read from the record
+    for h, rtol in [(np.diag([1e12 + 1e2j, 1.0 + 1e-3j]), REALITY_RTOL), (np.diag([3.0, 2.0 + 1e-6j]), 1e-7)]:
+        spectral = eigendecompose(h, rtol)
+        w, bounds = spectral.eigenvalues, spectral._reality_bounds
+        k = int(np.argmax(np.abs(w.imag) - bounds))
+        assert bounds[k] == rtol * (1.0 + abs(w[k]))
+        with pytest.raises(ComplexSpectrumError) as raised:
+            biorthonormalize(spectral)
+        assert f"|Im w| = {abs(w[k].imag):.3e} exceeds its reality bound {bounds[k]:.3e};" in str(raised.value)
+
+
+def test_eigendecompose_only_decomposes():
+    # every verdict is the record's, taken on first read and then kept
+    spectral = eigendecompose(np.array([[1.0, 1.0], [2.0**-54, 1.0]]))
+    derived = ("classification", "eigvec_condition", "_reality_bounds", "_measured", "_clusters")
+    assert not set(derived) & set(vars(spectral))
+    assert spectral.classification is SpectrumClass.NEAR_DEFECTIVE
+    # its bounds straddle the limit, so the verdict read the condition number
+    assert "eigvec_condition" in vars(spectral) and spectral.eigvec_condition > EIGVEC_CONDITION_LIMIT
+    assert spectral.classification is spectral.classification
 
 
 def test_biorthonormalize_rejects_near_defective():
